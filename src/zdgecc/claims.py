@@ -1,10 +1,13 @@
 """Catalogue of claimed closed-form results and their audits.
 
-Each claim (labelled by its source theorem number) carries an applicability
-predicate and a generator for the claimed spectrum, energy value, bound, or
-structure predicate.  ``audit`` computes ground truth with the exact engine
-and compares, producing a Verified / Refuted / NotApplicable /
-MalformedClaim / Skipped verdict with machine-checkable evidence.
+``CLAIMS`` is the catalogue: one record per theorem (labelled by its source
+theorem number) holding its parameter family (names, hypotheses and the
+points the ``audit`` command enumerates), the modulus and graph of its
+ground truth, the matrix order there, the claimed spectrum, energy value or
+bound, and the audit that checks it.  ``audit`` computes ground truth with
+the exact engine and compares, producing a Verified / Refuted /
+NotApplicable / MalformedClaim / Skipped verdict with machine-checkable
+evidence.
 
 A claim whose multiplicities cannot sum to the matrix order is reported as
 MalformedClaim before any numerical comparison; refutations always carry at
@@ -17,14 +20,16 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
 from zdgecc.eccentricity import eccentricity_matrix, is_irreducible
-from zdgecc.exact_linalg import is_integral_spectrum
+from zdgecc.exact_linalg import integrality_certificate
 from zdgecc.graphs import (
+    Graph,
     build_extended_zdg,
     build_zdg,
     build_zdg_zpzp,
@@ -33,25 +38,9 @@ from zdgecc.graphs import (
     is_star,
     is_tree,
 )
-from zdgecc.number_theory import euler_phi, is_prime
+from zdgecc.number_theory import is_prime, primes_up_to
 from zdgecc.spectra import DEFAULT_EXACT_CAP, Spectrum, spectrum
-
-_SOURCES = {
-    "3.1": "Theorem 3.1: spectrum {-2^(p1+p2-4), (2p1-4)^1, (2p2-4)^1} for the zero-divisor graph of Z_{p1 p2}",
-    "3.2": "Theorem 3.2: spectrum {-1^(p-2), -2^(p^2-p-1), (2p^2-2p-2)^1, ((p^3-4p^2+p+4)/(2p^2-2p-2))^1} for Z_{p^3}, p odd",
-    "3.3": "Theorem 3.3: spectrum {-2^(p^2(p-1)), 0^(p^2-1), (-1-p-p^3 +/- Lambda)^1} for Z_{p^4}",
-    "3.4": "Theorem 3.4: explicit part {0, -2, 2p2-6, 2(p1-1)(p2-1)-4} plus residual root set for Z_{p1^2 p2}",
-    "4.1": "Theorem 4.1: least eccentricity eigenvalue of a tree (not P2) is <= -2, equal iff the tree is a star",
-    "4.2": "Theorem 4.2: the eccentricity matrix of a tree is irreducible",
-    "4.3": "Theorem 4.3: the zero-divisor graph of Z_n is a tree iff n = 2p, and then a star",
-    "5.1": "Theorem 5.1: eccentricity eigenvalues of the zero-divisor graph of Z_{p^t} are integers iff t = 2",
-    "5.2": "Theorem 5.2: the extended zero-divisor graph of Z_{p^t} (t >= 2) is complete with integral spectrum",
-    "5.3": "Theorem 5.3: spectrum {-2^(2(p-1)), (2p-6)^2} for the zero-divisor graph of Z_p x Z_p",
-    "6.1": "Theorem 6.1: eccentricity energy of the complement for Z_{p1 p2} equals 2(p1+p2-4)",
-    "6.2": "Theorem 6.2: eccentricity energy of the complement for Z_{p^3} equals 2p(p-1)-2",
-    "6.3": "Theorem 6.3: |E(G) - E(complement)| <= 3(p1+p2-2)^2 for Z_{p1 p2}; proof bounds each |lambda| by 2(p1+p2-2)",
-    "6.4": "Theorem 6.4: |E(G) - E(complement)| <= 3(p^2-1)^2 for Z_{p^3}",
-}
+from zdgecc.survey import variant_order
 
 
 class Verdict(enum.Enum):
@@ -85,63 +74,130 @@ class AuditVerdict:
         return f"{self.claim_id}:{self.params_token()}"
 
 
+# ----------------------------------------------------------------------------
+# parameter families
+
+
+@dataclass(frozen=True)
+class Family:
+    """Parameter names, hypotheses as (predicate, reason) pairs checked in
+    order, and the points the ``audit`` command enumerates from its options."""
+
+    param_names: tuple[str, ...]
+    hypotheses: tuple[tuple[Callable[[dict], bool], str], ...]
+    enumerate: Callable[[object], list[dict]]
+
+
+def _primes(args) -> list[dict]:
+    return [{"p": p} for p in args.primes or primes_up_to(args.primes_up_to)]
+
+
+def _prime_pairs(args) -> list[dict]:
+    ps = args.primes or [p for p in primes_up_to(args.primes_up_to) if p >= args.primes_from]
+    return [{"p1": p1, "p2": p2} for i, p1 in enumerate(ps) for p2 in ps[i + 1 :]]
+
+
+def _prime_powers(args) -> list[dict]:
+    out = []
+    for p in primes_up_to(args.max_power):
+        t = 2
+        while p**t <= args.max_power:
+            out.append({"p": p, "t": t})
+            t += 1
+    return out
+
+
+def _composites(args) -> list[dict]:
+    return [{"n": n} for n in range(4, args.max_n + 1) if not is_prime(n)]
+
+
+def _tree_moduli(args) -> list[dict]:
+    return [q for q in _composites(args) if is_tree(build_zdg(q["n"]))]
+
+
+_IS_PRIME = (lambda q: is_prime(q.get("p")), "requires a prime")
+
+PAIR = Family(
+    ("p1", "p2"),
+    ((lambda q: is_prime(q.get("p1")) and is_prime(q.get("p2")) and q.get("p1") != q.get("p2"),
+      "requires two distinct primes"),),
+    _prime_pairs,
+)
+PRIME = Family(("p",), (_IS_PRIME,), _primes)
+ODD_PRIME = Family(
+    ("p",), (_IS_PRIME, (lambda q: q["p"] != 2, "statement excludes p = 2")), _primes
+)
+PRIME_POWER = Family(
+    ("p", "t"),
+    (_IS_PRIME, (lambda q: q.get("t", 0) >= 2, "requires t >= 2 (Z_p is an integral domain)")),
+    _prime_powers,
+)
+COMPOSITE = Family(
+    ("n",),
+    ((lambda q: q.get("n", 0) >= 4 and not is_prime(q["n"]), "requires composite n >= 4"),),
+    _composites,
+)
+TREE = replace(COMPOSITE, enumerate=_tree_moduli)
+
+
+# ----------------------------------------------------------------------------
+# theorem records
+
+
+def _zdg_order(n: int) -> int:
+    return variant_order(n, "zdg")
+
+
 @dataclass(frozen=True)
 class TheoremClaim:
-    """One checkable closed-form claim: its parameters, hypotheses, generator."""
+    """One theorem: ``graph(ring(params))`` is its ground truth, with
+    ``order(ring(params))`` vertices; ``payload`` is the claimed (value,
+    multiplicity, exact) triples (None where none are stated, MalformedClaim
+    where they are not real), energy value or gap bound; ``check`` audits an
+    applicable point within the exact cap, returning (verdict, evidence)."""
 
     id: str
-    param_names: tuple[str, ...]
     kind: str  # spectrum | integrality | energy | gap | structure
+    family: Family
+    ring: Callable[[dict], int]
+    check: Callable[..., tuple[Verdict, dict]]
     source: str
+    payload: Callable[[dict], object] | None = None
+    graph: Callable[[int], Graph] = build_zdg
+    order: Callable[[int], int] = _zdg_order
+    eigenvalue_bound: Callable[[dict], int] | None = None
+    asserts_complete: bool = False
+
+    @property
+    def param_names(self) -> tuple[str, ...]:
+        return self.family.param_names
 
     def applicable(self, params: dict) -> tuple[bool, str]:
-        return applicable(self.id, params)
+        """Whether the claim's stated hypotheses hold for these parameters."""
+        for holds, reason in self.family.hypotheses:
+            if not holds(params):
+                return False, reason
+        return True, ""
 
     def claimed(self, params: dict):
         """The asserted payload: a Spectrum (or MalformedClaim) for spectrum
         claims, the exact energy value for energy claims, the gap bound for
         gap claims; structure claims assert a predicate and have no payload."""
-        if self.kind == "spectrum" or (self.kind == "integrality" and params.get("t") == 2):
+        if self.kind in ("spectrum", "integrality"):
             return claimed_spectrum(self.id, params)
-        if self.kind == "energy":
-            if self.id == "6.1":
-                return Fraction(2 * (params["p1"] + params["p2"] - 4))
-            return Fraction(2 * params["p"] * (params["p"] - 1) - 2)
-        if self.kind == "gap":
-            if self.id == "6.3":
-                return Fraction(3 * (params["p1"] + params["p2"] - 2) ** 2)
-            return Fraction(3 * (params["p"] ** 2 - 1) ** 2)
-        raise ValueError(f"claim {self.id} has no closed-form payload")
+        if self.payload is None:
+            raise ValueError(f"claim {self.id} has no closed-form payload")
+        return self.payload(params)
 
     def audit(self, params: dict, tol: float = 1e-7, *, exact_cap: int = DEFAULT_EXACT_CAP) -> "AuditVerdict":
         return audit(self.id, params, tol, exact_cap=exact_cap)
 
 
-def _registry() -> dict[str, TheoremClaim]:
-    kinds = {
-        "3.1": ("spectrum", ("p1", "p2")),
-        "3.2": ("spectrum", ("p",)),
-        "3.3": ("spectrum", ("p",)),
-        "3.4": ("spectrum", ("p1", "p2")),
-        "4.1": ("structure", ("n",)),
-        "4.2": ("structure", ("n",)),
-        "4.3": ("structure", ("n",)),
-        "5.1": ("integrality", ("p", "t")),
-        "5.2": ("spectrum", ("p", "t")),
-        "5.3": ("spectrum", ("p",)),
-        "6.1": ("energy", ("p1", "p2")),
-        "6.2": ("energy", ("p",)),
-        "6.3": ("gap", ("p1", "p2")),
-        "6.4": ("gap", ("p",)),
-    }
-    return {
-        cid: TheoremClaim(cid, names, kind, _SOURCES[cid])
-        for cid, (kind, names) in kinds.items()
-    }
-
-
-CLAIMS = _registry()
-THEOREM_IDS = tuple(CLAIMS)
+def _lookup(claim_id: str) -> TheoremClaim:
+    try:
+        return CLAIMS[claim_id]
+    except KeyError:
+        raise ValueError(f"unknown claim id {claim_id!r}") from None
 
 
 def _fmt(x) -> str:
@@ -158,55 +214,9 @@ def _params(**kwargs) -> tuple[tuple[str, int], ...]:
 # claimed spectra
 
 
-def _zdg_order(n: int) -> int:
-    return n - euler_phi(n) - 1
-
-
-def _claim_order(claim_id: str, params: dict) -> int:
-    if claim_id == "3.1":
-        return _zdg_order(params["p1"] * params["p2"])
-    if claim_id == "3.2":
-        return _zdg_order(params["p"] ** 3)
-    if claim_id == "3.3":
-        return _zdg_order(params["p"] ** 4)
-    if claim_id == "3.4":
-        return _zdg_order(params["p1"] ** 2 * params["p2"])
-    if claim_id in ("5.1", "5.2"):
-        return params["p"] ** (params["t"] - 1) - 1
-    if claim_id == "5.3":
-        return 2 * (params["p"] - 1)
-    raise ValueError(f"claim {claim_id} does not define a spectrum order")
-
-
 def applicable(claim_id: str, params: dict) -> tuple[bool, str]:
     """Whether the claim's stated hypotheses hold for these parameters."""
-    p = params.get("p")
-    p1, p2 = params.get("p1"), params.get("p2")
-    if claim_id in ("3.1", "3.4", "6.1", "6.3"):
-        if not (is_prime(p1) and is_prime(p2) and p1 != p2):
-            return False, "requires two distinct primes"
-        return True, ""
-    if claim_id == "3.2":
-        if not is_prime(p):
-            return False, "requires a prime"
-        if p == 2:
-            return False, "statement excludes p = 2"
-        return True, ""
-    if claim_id in ("3.3", "5.3", "6.2", "6.4"):
-        return (True, "") if is_prime(p) else (False, "requires a prime")
-    if claim_id in ("5.1", "5.2"):
-        t = params.get("t", 0)
-        if not is_prime(p):
-            return False, "requires a prime"
-        if t < 2:
-            return False, "requires t >= 2 (Z_p is an integral domain)"
-        return True, ""
-    if claim_id in ("4.1", "4.2", "4.3"):
-        n = params.get("n", 0)
-        if n < 4 or is_prime(n):
-            return False, "requires composite n >= 4"
-        return True, ""
-    raise ValueError(f"no applicability predicate for claim {claim_id}")
+    return _lookup(claim_id).applicable(params)
 
 
 def _theta_roots_34(p1: int, p2: int) -> tuple[list[tuple[float, int]], bool]:
@@ -240,6 +250,43 @@ def _theta_roots_34(p1: int, p2: int) -> tuple[list[tuple[float, int]], bool]:
     return out, all_real
 
 
+def _claimed_32(q: dict) -> list[tuple[object, int, bool]]:
+    p = q["p"]
+    return [
+        (-1, p - 2, True),
+        (-2, p * p - p - 1, True),
+        (2 * p * p - 2 * p - 2, 1, True),
+        (Fraction(p**3 - 4 * p * p + p + 4, 2 * p * p - 2 * p - 2), 1, True),
+    ]
+
+
+def _claimed_33(q: dict) -> list[tuple[object, int, bool]]:
+    p = q["p"]
+    lam = math.sqrt(2 + 2 * p + p**2 + 2 * p**3 - 10 * p**4 + 4 * p**5 + p**6)
+    base = -1 - p - p**3
+    return [
+        (-2, p * p * (p - 1), True),
+        (0, p * p - 1, True),
+        (base - lam, 1, False),
+        (base + lam, 1, False),
+    ]
+
+
+def _claimed_34(q: dict) -> list[tuple[object, int, bool]] | MalformedClaim:
+    p1, p2 = q["p1"], q["p2"]
+    theta, all_real = _theta_roots_34(p1, p2)
+    if not all_real:
+        return MalformedClaim(reason="residual root set contains non-real roots")
+    pairs = [
+        (0, p1 * p1 + 2 * p1 - 4, True),
+        (-2, p1 * (p2 - 1), True),
+        (2 * p2 - 6, 1, True),
+        (2 * (p1 - 1) * (p2 - 1) - 4, 1, True),
+    ]
+    pairs.extend((v, m, False) for v, m in theta)
+    return pairs
+
+
 def claimed_spectrum(claim_id: str, params: dict) -> Spectrum | MalformedClaim:
     """The closed-form multiset a claim asserts, or MalformedClaim.
 
@@ -247,57 +294,17 @@ def claimed_spectrum(claim_id: str, params: dict) -> Spectrum | MalformedClaim:
     Multiplicities are checked against the matrix order before anything is
     compared numerically.
     """
-    ok, why = applicable(claim_id, params)
+    claim = _lookup(claim_id)
+    ok, why = claim.applicable(params)
     if not ok:
         raise ValueError(f"claim {claim_id} not applicable: {why}")
-    p = params.get("p")
-    p1, p2 = params.get("p1"), params.get("p2")
-    pairs: list[tuple[object, int, bool]]
-    if claim_id == "3.1":
-        pairs = [(-2, p1 + p2 - 4, True), (2 * p1 - 4, 1, True), (2 * p2 - 4, 1, True)]
-    elif claim_id == "3.2":
-        pairs = [
-            (-1, p - 2, True),
-            (-2, p * p - p - 1, True),
-            (2 * p * p - 2 * p - 2, 1, True),
-            (Fraction(p**3 - 4 * p * p + p + 4, 2 * p * p - 2 * p - 2), 1, True),
-        ]
-    elif claim_id == "3.3":
-        lam = math.sqrt(2 + 2 * p + p**2 + 2 * p**3 - 10 * p**4 + 4 * p**5 + p**6)
-        base = -1 - p - p**3
-        pairs = [
-            (-2, p * p * (p - 1), True),
-            (0, p * p - 1, True),
-            (base - lam, 1, False),
-            (base + lam, 1, False),
-        ]
-    elif claim_id == "3.4":
-        theta, all_real = _theta_roots_34(p1, p2)
-        if not all_real:
-            return MalformedClaim(
-                reason="residual root set contains non-real roots",
-                expected_order=_claim_order(claim_id, params),
-            )
-        pairs = [
-            (0, p1 * p1 + 2 * p1 - 4, True),
-            (-2, p1 * (p2 - 1), True),
-            (2 * p2 - 6, 1, True),
-            (2 * (p1 - 1) * (p2 - 1) - 4, 1, True),
-        ]
-        pairs.extend((v, m, False) for v, m in theta)
-    elif claim_id == "5.2":
-        m = params["p"] ** (params["t"] - 1) - 1
-        pairs = [(-1, m - 1, True), (m - 1, 1, True)]
-    elif claim_id == "5.1":
-        if params["t"] != 2:
-            raise ValueError("claim 5.1 gives an explicit spectrum only at t = 2")
-        pairs = [(p - 2, 1, True), (-1, p - 2, True)]
-    elif claim_id == "5.3":
-        pairs = [(-2, 2 * (p - 1), True), (2 * p - 6, 2, True)]
-    else:
-        raise ValueError(f"claim {claim_id} does not assert a spectrum")
+    pairs = claim.payload(params) if claim.kind in ("spectrum", "integrality") else None
+    if pairs is None:
+        raise ValueError(f"claim {claim_id} asserts no spectrum at {params}")
+    expected = claim.order(claim.ring(params))
+    if isinstance(pairs, MalformedClaim):
+        return replace(pairs, expected_order=expected)
     spec = Spectrum.from_pairs(pairs)
-    expected = _claim_order(claim_id, params)
     if spec.order != expected:
         return MalformedClaim(
             reason="claimed multiplicities do not sum to the matrix order",
@@ -327,11 +334,10 @@ def _claimed_sanity(spec: Spectrum) -> dict:
     )
     total = float(exact_part) + float_part
     zero = abs(total) <= 1e-6 * max(1, spec.order)
-    ev = {
+    return {
         "claimed_trace": _fmt(exact_part) if spec.all_exact else _fmt(total),
         "claimed_trace_zero": zero,
     }
-    return ev
 
 
 def _compare_spectra(claimed: Spectrum, computed: Spectrum, tol: float) -> dict:
@@ -343,12 +349,9 @@ def _compare_spectra(claimed: Spectrum, computed: Spectrum, tol: float) -> dict:
     worst = None
     exact_mismatch = False
     for a, b in zip(cl, co):
-        if a.exact and b.exact:
-            if a.value != b.value:
-                exact_mismatch = True
-            dev = abs(a.float_value - b.float_value)
-        else:
-            dev = abs(a.float_value - b.float_value)
+        if a.exact and b.exact and a.value != b.value:
+            exact_mismatch = True
+        dev = abs(a.float_value - b.float_value)
         if dev > max_dev or (worst is None):
             max_dev = dev
             worst = (a.value_text(), b.value_text())
@@ -359,24 +362,6 @@ def _compare_spectra(claimed: Spectrum, computed: Spectrum, tol: float) -> dict:
         "worst_pair": {"claimed": worst[0], "computed": worst[1]} if worst else None,
         "exact_mismatch": exact_mismatch,
     }
-
-
-def _ground_truth_graph(claim_id: str, params: dict):
-    if claim_id == "3.1":
-        return build_zdg(params["p1"] * params["p2"])
-    if claim_id == "3.2":
-        return build_zdg(params["p"] ** 3)
-    if claim_id == "3.3":
-        return build_zdg(params["p"] ** 4)
-    if claim_id == "3.4":
-        return build_zdg(params["p1"] ** 2 * params["p2"])
-    if claim_id == "5.1":
-        return build_zdg(params["p"] ** params["t"])
-    if claim_id == "5.2":
-        return build_extended_zdg(params["p"] ** params["t"])
-    if claim_id == "5.3":
-        return build_zdg_zpzp(params["p"])
-    raise ValueError(f"claim {claim_id} has no single ground-truth graph")
 
 
 def _computed_spectrum(graph, exact_cap: int) -> Spectrum:
@@ -395,30 +380,26 @@ def _computed_spectrum(graph, exact_cap: int) -> Spectrum:
     return spec
 
 
-def _spectrum_claim_audit(
-    claim_id: str, params: dict, tol: float, exact_cap: int
-) -> AuditVerdict:
-    prm = _params(**params)
-    ok, why = applicable(claim_id, params)
-    if not ok:
-        return AuditVerdict(claim_id, prm, Verdict.NOT_APPLICABLE, {"reason": why})
-    order = _claim_order(claim_id, params)
-    if order > exact_cap:
-        return AuditVerdict(
-            claim_id, prm, Verdict.SKIPPED,
-            {"reason": f"order {order} exceeds exact cap {exact_cap}"},
-        )
-    claimed = claimed_spectrum(claim_id, params)
-    graph = _ground_truth_graph(claim_id, params)
+# ----------------------------------------------------------------------------
+# audits: each takes (claim, params, tol, exact_cap) for an applicable point
+# within the exact cap and returns (verdict, evidence)
+
+
+def _verdict(ok: bool) -> Verdict:
+    return Verdict.VERIFIED if ok else Verdict.REFUTED
+
+
+def _spectrum_audit(claim: TheoremClaim, q: dict, tol: float, exact_cap: int):
+    claimed = claimed_spectrum(claim.id, q)
+    graph = claim.graph(claim.ring(q))
     computed = _computed_spectrum(graph, exact_cap)
     if isinstance(claimed, MalformedClaim):
-        ev = {
+        return Verdict.MALFORMED_CLAIM, {
             "reason": claimed.reason,
             "claimed_multiplicity_total": claimed.claimed_total,
             "matrix_order": claimed.expected_order,
             "computed_spectrum": _spectrum_json(computed),
         }
-        return AuditVerdict(claim_id, prm, Verdict.MALFORMED_CLAIM, ev)
     ev = {
         "claimed_spectrum": _spectrum_json(claimed),
         "computed_spectrum": _spectrum_json(computed),
@@ -427,94 +408,61 @@ def _spectrum_claim_audit(
     cmp = _compare_spectra(claimed, computed, tol)
     ev["max_deviation"] = cmp["max_deviation"]
     ev["worst_pair"] = cmp["worst_pair"]
-    if claim_id == "5.2":
+    if claim.asserts_complete:
         ev["complete"] = is_complete(graph)
         if not ev["complete"]:
-            return AuditVerdict(claim_id, prm, Verdict.REFUTED, ev)
-    verdict = Verdict.VERIFIED if cmp["matches"] else Verdict.REFUTED
-    return AuditVerdict(claim_id, prm, verdict, ev)
+            return Verdict.REFUTED, ev
+    return _verdict(cmp["matches"]), ev
 
 
-def _integrality_audit(params: dict, tol: float, exact_cap: int) -> AuditVerdict:
-    claim_id = "5.1"
-    prm = _params(**params)
-    ok, why = applicable(claim_id, params)
-    if not ok:
-        return AuditVerdict(claim_id, prm, Verdict.NOT_APPLICABLE, {"reason": why})
-    p, t = params["p"], params["t"]
-    order = _claim_order(claim_id, params)
-    if order > exact_cap:
-        return AuditVerdict(
-            claim_id, prm, Verdict.SKIPPED,
-            {"reason": f"order {order} exceeds exact cap {exact_cap}"},
-        )
-    graph = build_zdg(p**t)
-    mat = eccentricity_matrix(graph)
-    integral, cert = is_integral_spectrum(mat)
-    claimed_integral = t == 2
+def _integrality_audit(claim: TheoremClaim, q: dict, tol: float, exact_cap: int):
+    graph = claim.graph(claim.ring(q))
+    claimed_integral = q["t"] == 2
+    if claimed_integral:
+        computed = _computed_spectrum(graph, exact_cap)
+        cert = computed.certificate
+    else:
+        cert = integrality_certificate(eccentricity_matrix(graph))
     ev = {
-        "computed_integral": integral,
+        "computed_integral": cert.integral,
         "claimed_integral": claimed_integral,
         "factorization": cert.text(),
         "residual": None if cert.integral else cert.residual.text(),
     }
-    if integral != claimed_integral:
-        return AuditVerdict(claim_id, prm, Verdict.REFUTED, ev)
-    if t == 2:
-        claimed = claimed_spectrum(claim_id, params)
-        computed = _computed_spectrum(graph, exact_cap)
+    if cert.integral != claimed_integral:
+        return Verdict.REFUTED, ev
+    if claimed_integral:
+        claimed = claimed_spectrum(claim.id, q)
         cmp = _compare_spectra(claimed, computed, tol)
         ev["claimed_spectrum"] = _spectrum_json(claimed)
         ev["computed_spectrum"] = _spectrum_json(computed)
         ev["max_deviation"] = cmp["max_deviation"]
         if not cmp["matches"]:
-            return AuditVerdict(claim_id, prm, Verdict.REFUTED, ev)
-    return AuditVerdict(claim_id, prm, Verdict.VERIFIED, ev)
+            return Verdict.REFUTED, ev
+    return Verdict.VERIFIED, ev
 
 
-def _energy_audit(claim_id: str, params: dict, tol: float, exact_cap: int) -> AuditVerdict:
-    prm = _params(**params)
-    ok, why = applicable(claim_id, params)
-    if not ok:
-        return AuditVerdict(claim_id, prm, Verdict.NOT_APPLICABLE, {"reason": why})
-    if claim_id in ("6.1", "6.3"):
-        p1, p2 = params["p1"], params["p2"]
-        n = p1 * p2
-        formula = Fraction(2 * (p1 + p2 - 4))
-        bound = 3 * (p1 + p2 - 2) ** 2
-        lam_bound = 2 * (p1 + p2 - 2)
-    else:
-        p = params["p"]
-        n = p**3
-        formula = Fraction(2 * p * (p - 1) - 2)
-        bound = 3 * (p * p - 1) ** 2
-        lam_bound = None
-    order = _zdg_order(n)
-    if order > exact_cap:
-        return AuditVerdict(
-            claim_id, prm, Verdict.SKIPPED,
-            {"reason": f"order {order} exceeds exact cap {exact_cap}"},
-        )
-    g = build_zdg(n)
+def _energy_audit(claim: TheoremClaim, q: dict, tol: float, exact_cap: int):
+    g_c = complement(claim.graph(claim.ring(q)))
+    spec_c = spectrum(eccentricity_matrix(g_c), "exact", exact_cap=exact_cap)
+    formula = claim.payload(q)
+    exact_energy = spec_c.energy_exact()
+    ev = {
+        "complement_energy": _fmt(spec_c.energy()),
+        "complement_energy_exact": None if exact_energy is None else _fmt(exact_energy),
+        "formula_value": _fmt(formula),
+        "complement_spectrum": _spectrum_json(spec_c),
+    }
+    if exact_energy is not None:
+        return _verdict(exact_energy == formula), ev
+    return _verdict(abs(spec_c.energy() - float(formula)) <= tol), ev
+
+
+def _gap_audit(claim: TheoremClaim, q: dict, tol: float, exact_cap: int):
+    g = claim.graph(claim.ring(q))
     spec_g = spectrum(eccentricity_matrix(g), "exact", exact_cap=exact_cap)
     spec_c = spectrum(eccentricity_matrix(complement(g)), "exact", exact_cap=exact_cap)
-    if claim_id in ("6.1", "6.2"):
-        exact_energy = spec_c.energy_exact()
-        ev = {
-            "complement_energy": _fmt(spec_c.energy()),
-            "complement_energy_exact": None if exact_energy is None else _fmt(exact_energy),
-            "formula_value": _fmt(formula),
-            "complement_spectrum": _spectrum_json(spec_c),
-        }
-        if exact_energy is not None:
-            verdict = Verdict.VERIFIED if exact_energy == formula else Verdict.REFUTED
-        else:
-            verdict = (
-                Verdict.VERIFIED
-                if abs(spec_c.energy() - float(formula)) <= tol
-                else Verdict.REFUTED
-            )
-        return AuditVerdict(claim_id, prm, verdict, ev)
+    bound = claim.payload(q)
     gap = abs(spec_g.energy() - spec_c.energy())
     ev = {
         "energy": _fmt(spec_g.energy()),
@@ -523,64 +471,46 @@ def _energy_audit(claim_id: str, params: dict, tol: float, exact_cap: int) -> Au
         "bound": _fmt(bound),
     }
     ok_gap = gap <= bound + tol
-    if lam_bound is not None:
-        worst = max(
-            [abs(e.float_value) for e in spec_g.entries]
-            + [abs(e.float_value) for e in spec_c.entries]
-        )
+    if claim.eigenvalue_bound is not None:
+        lam_bound = claim.eigenvalue_bound(q)
+        worst = max(abs(e.float_value) for s in (spec_g, spec_c) for e in s.entries)
         ev["eigenvalue_bound"] = _fmt(lam_bound)
         ev["max_abs_eigenvalue"] = _fmt(worst)
         ok_gap = ok_gap and worst <= lam_bound + tol
-    return AuditVerdict(
-        claim_id, prm, Verdict.VERIFIED if ok_gap else Verdict.REFUTED, ev
-    )
+    return _verdict(ok_gap), ev
 
 
-def _structure_audit(claim_id: str, n: int, tol: float) -> AuditVerdict:
-    prm = _params(n=n)
-    if is_prime(n) or n < 4:
-        return AuditVerdict(
-            claim_id, prm, Verdict.NOT_APPLICABLE, {"reason": "n is prime"}
-        )
-    g = build_zdg(n)
+def _tree_iff_2p_audit(claim: TheoremClaim, q: dict, tol: float, exact_cap: int):
+    n = q["n"]
+    g = claim.graph(n)
     tree = is_tree(g)
-    if claim_id == "4.3":
-        is_2p = n % 2 == 0 and is_prime(n // 2)
-        star = is_star(g) if tree else False
-        ev = {"tree": tree, "n_is_2p": is_2p, "star": star}
-        okv = tree == is_2p and (not is_2p or star)
-        return AuditVerdict(
-            claim_id, prm, Verdict.VERIFIED if okv else Verdict.REFUTED, ev
-        )
-    if not tree:
-        return AuditVerdict(
-            claim_id, prm, Verdict.NOT_APPLICABLE,
-            {"reason": "zero-divisor graph is not a tree"},
-        )
-    mat = eccentricity_matrix(g)
-    if claim_id == "4.2":
-        irr = is_irreducible(mat)
-        return AuditVerdict(
-            claim_id, prm,
-            Verdict.VERIFIED if irr else Verdict.REFUTED,
-            {"irreducible": irr},
-        )
-    if claim_id == "4.1":
-        if g.n_vertices < 3:
-            return AuditVerdict(
-                claim_id, prm, Verdict.NOT_APPLICABLE,
-                {"reason": "statement excludes trees on fewer than 3 vertices"},
-            )
-        spec = spectrum(mat, "float")
-        least = spec.least()
-        star = is_star(g)
-        at_minus_two = abs(least + 2.0) <= 1e-9
-        ev = {"least_eigenvalue": _fmt(least), "star": star}
-        okv = least <= -2.0 + 1e-9 and (at_minus_two == star)
-        return AuditVerdict(
-            claim_id, prm, Verdict.VERIFIED if okv else Verdict.REFUTED, ev
-        )
-    raise ValueError(f"unknown structural claim {claim_id}")
+    is_2p = n % 2 == 0 and is_prime(n // 2)
+    star = is_star(g) if tree else False
+    ev = {"tree": tree, "n_is_2p": is_2p, "star": star}
+    return _verdict(tree == is_2p and (not is_2p or star)), ev
+
+
+def _irreducible_audit(claim: TheoremClaim, q: dict, tol: float, exact_cap: int):
+    g = claim.graph(q["n"])
+    if not is_tree(g):
+        return Verdict.NOT_APPLICABLE, {"reason": "zero-divisor graph is not a tree"}
+    irr = is_irreducible(eccentricity_matrix(g))
+    return _verdict(irr), {"irreducible": irr}
+
+
+def _least_eigenvalue_audit(claim: TheoremClaim, q: dict, tol: float, exact_cap: int):
+    g = claim.graph(q["n"])
+    if not is_tree(g):
+        return Verdict.NOT_APPLICABLE, {"reason": "zero-divisor graph is not a tree"}
+    if g.n_vertices < 3:
+        return Verdict.NOT_APPLICABLE, {
+            "reason": "statement excludes trees on fewer than 3 vertices"
+        }
+    least = spectrum(eccentricity_matrix(g), "float").least()
+    star = is_star(g)
+    at_minus_two = abs(least + 2.0) <= 1e-9
+    ev = {"least_eigenvalue": _fmt(least), "star": star}
+    return _verdict(least <= -2.0 + 1e-9 and (at_minus_two == star)), ev
 
 
 def audit(
@@ -591,15 +521,22 @@ def audit(
     exact_cap: int = DEFAULT_EXACT_CAP,
 ) -> AuditVerdict:
     """Audit one claim at one parameter point."""
-    if claim_id in ("3.1", "3.2", "3.3", "3.4", "5.2", "5.3"):
-        return _spectrum_claim_audit(claim_id, params, tol, exact_cap)
-    if claim_id == "5.1":
-        return _integrality_audit(params, tol, exact_cap)
-    if claim_id in ("6.1", "6.2", "6.3", "6.4"):
-        return _energy_audit(claim_id, params, tol, exact_cap)
-    if claim_id in ("4.1", "4.2", "4.3"):
-        return _structure_audit(claim_id, params["n"], tol)
-    raise ValueError(f"unknown claim id {claim_id!r}")
+    claim = _lookup(claim_id)
+    prm = _params(**params)
+    ok, why = claim.applicable(params)
+    if not ok:
+        # the tree audits report the modulus itself as the reason
+        reason = "n is prime" if claim.kind == "structure" else why
+        return AuditVerdict(claim.id, prm, Verdict.NOT_APPLICABLE, {"reason": reason})
+    if claim.kind != "structure":
+        order = claim.order(claim.ring(params))
+        if order > exact_cap:
+            return AuditVerdict(
+                claim.id, prm, Verdict.SKIPPED,
+                {"reason": f"order {order} exceeds exact cap {exact_cap}"},
+            )
+    verdict, evidence = claim.check(claim, params, tol, exact_cap)
+    return AuditVerdict(claim.id, prm, verdict, evidence)
 
 
 def audit_structure(n: int, tol: float = 1e-7) -> list[AuditVerdict]:
@@ -636,4 +573,83 @@ def audit_energy(
 
 
 def source(claim_id: str) -> str:
-    return _SOURCES[claim_id]
+    return CLAIMS[claim_id].source
+
+
+# ----------------------------------------------------------------------------
+# the catalogue: id, kind, family, ground-truth modulus, audit, source, payload
+
+
+CLAIMS: dict[str, TheoremClaim] = {c.id: c for c in (
+    TheoremClaim(
+        "3.1", "spectrum", PAIR, lambda q: q["p1"] * q["p2"], _spectrum_audit,
+        "Theorem 3.1: spectrum {-2^(p1+p2-4), (2p1-4)^1, (2p2-4)^1} for the zero-divisor graph of Z_{p1 p2}",
+        lambda q: [(-2, q["p1"] + q["p2"] - 4, True), (2 * q["p1"] - 4, 1, True), (2 * q["p2"] - 4, 1, True)],
+    ),
+    TheoremClaim(
+        "3.2", "spectrum", ODD_PRIME, lambda q: q["p"] ** 3, _spectrum_audit,
+        "Theorem 3.2: spectrum {-1^(p-2), -2^(p^2-p-1), (2p^2-2p-2)^1, ((p^3-4p^2+p+4)/(2p^2-2p-2))^1} for Z_{p^3}, p odd",
+        _claimed_32,
+    ),
+    TheoremClaim(
+        "3.3", "spectrum", PRIME, lambda q: q["p"] ** 4, _spectrum_audit,
+        "Theorem 3.3: spectrum {-2^(p^2(p-1)), 0^(p^2-1), (-1-p-p^3 +/- Lambda)^1} for Z_{p^4}",
+        _claimed_33,
+    ),
+    TheoremClaim(
+        "3.4", "spectrum", PAIR, lambda q: q["p1"] ** 2 * q["p2"], _spectrum_audit,
+        "Theorem 3.4: explicit part {0, -2, 2p2-6, 2(p1-1)(p2-1)-4} plus residual root set for Z_{p1^2 p2}",
+        _claimed_34,
+    ),
+    TheoremClaim(
+        "4.1", "structure", TREE, lambda q: q["n"], _least_eigenvalue_audit,
+        "Theorem 4.1: least eccentricity eigenvalue of a tree (not P2) is <= -2, equal iff the tree is a star",
+    ),
+    TheoremClaim(
+        "4.2", "structure", TREE, lambda q: q["n"], _irreducible_audit,
+        "Theorem 4.2: the eccentricity matrix of a tree is irreducible",
+    ),
+    TheoremClaim(
+        "4.3", "structure", COMPOSITE, lambda q: q["n"], _tree_iff_2p_audit,
+        "Theorem 4.3: the zero-divisor graph of Z_n is a tree iff n = 2p, and then a star",
+    ),
+    TheoremClaim(
+        "5.1", "integrality", PRIME_POWER, lambda q: q["p"] ** q["t"], _integrality_audit,
+        "Theorem 5.1: eccentricity eigenvalues of the zero-divisor graph of Z_{p^t} are integers iff t = 2",
+        lambda q: [(q["p"] - 2, 1, True), (-1, q["p"] - 2, True)] if q["t"] == 2 else None,
+    ),
+    TheoremClaim(
+        "5.2", "spectrum", PRIME_POWER, lambda q: q["p"] ** q["t"], _spectrum_audit,
+        "Theorem 5.2: the extended zero-divisor graph of Z_{p^t} (t >= 2) is complete with integral spectrum",
+        lambda q: [(-1, q["p"] ** (q["t"] - 1) - 2, True), (q["p"] ** (q["t"] - 1) - 2, 1, True)],
+        graph=build_extended_zdg, asserts_complete=True,
+    ),
+    TheoremClaim(
+        "5.3", "spectrum", PRIME, lambda q: q["p"], _spectrum_audit,
+        "Theorem 5.3: spectrum {-2^(2(p-1)), (2p-6)^2} for the zero-divisor graph of Z_p x Z_p",
+        lambda q: [(-2, 2 * (q["p"] - 1), True), (2 * q["p"] - 6, 2, True)],
+        graph=build_zdg_zpzp, order=lambda p: 2 * (p - 1),
+    ),
+    TheoremClaim(
+        "6.1", "energy", PAIR, lambda q: q["p1"] * q["p2"], _energy_audit,
+        "Theorem 6.1: eccentricity energy of the complement for Z_{p1 p2} equals 2(p1+p2-4)",
+        lambda q: Fraction(2 * (q["p1"] + q["p2"] - 4)),
+    ),
+    TheoremClaim(
+        "6.2", "energy", PRIME, lambda q: q["p"] ** 3, _energy_audit,
+        "Theorem 6.2: eccentricity energy of the complement for Z_{p^3} equals 2p(p-1)-2",
+        lambda q: Fraction(2 * q["p"] * (q["p"] - 1) - 2),
+    ),
+    TheoremClaim(
+        "6.3", "gap", PAIR, lambda q: q["p1"] * q["p2"], _gap_audit,
+        "Theorem 6.3: |E(G) - E(complement)| <= 3(p1+p2-2)^2 for Z_{p1 p2}; proof bounds each |lambda| by 2(p1+p2-2)",
+        lambda q: Fraction(3 * (q["p1"] + q["p2"] - 2) ** 2),
+        eigenvalue_bound=lambda q: 2 * (q["p1"] + q["p2"] - 2),
+    ),
+    TheoremClaim(
+        "6.4", "gap", PRIME, lambda q: q["p"] ** 3, _gap_audit,
+        "Theorem 6.4: |E(G) - E(complement)| <= 3(p^2-1)^2 for Z_{p^3}",
+        lambda q: Fraction(3 * (q["p"] ** 2 - 1) ** 2),
+    ),
+)}
+THEOREM_IDS = tuple(CLAIMS)

@@ -14,23 +14,15 @@ from pathlib import Path
 
 from zdgecc import claims, report, survey
 from zdgecc.eccentricity import eccentricity_matrix, is_irreducible
-from zdgecc.exact_linalg import char_poly, is_integral_spectrum
 from zdgecc.graphs import (
     EmptyGraphError,
-    build_zdg,
     is_complete,
     is_connected,
     is_star,
     is_tree,
     to_adjacency_text,
 )
-from zdgecc.number_theory import is_prime, primes_up_to
-from zdgecc.spectra import (
-    DEFAULT_CLUSTER_TOL,
-    DEFAULT_EXACT_CAP,
-    OversizeError,
-    spectrum,
-)
+from zdgecc.spectra import DEFAULT_CLUSTER_TOL, DEFAULT_EXACT_CAP, spectrum
 
 EXIT_OK = 0
 EXIT_AUDIT_MISMATCH = 1
@@ -52,13 +44,6 @@ def _emit(text: str, output: str | None) -> int:
     return EXIT_OK
 
 
-def _write_dump(text: str, path: str) -> int:
-    if path == "-":
-        sys.stdout.write(text)
-        return EXIT_OK
-    return _emit(text, path)
-
-
 def _render(items: list[dict], command: str, as_csv: bool, extra: dict | None = None) -> str:
     if as_csv:
         return report.to_csv(items)
@@ -69,22 +54,22 @@ def _render(items: list[dict], command: str, as_csv: bool, extra: dict | None = 
 
 
 def cmd_spectrum(args) -> int:
+    # the order is known from n alone, so an oversize exact request fails
+    # before the V x V graph and matrix are allocated
     try:
-        g = survey.variant_graph(args.n, args.variant)
+        order = survey.variant_order(args.n, args.variant)
     except EmptyGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    mat = eccentricity_matrix(g)
     method = args.method
     if method == "auto":
-        method = "exact" if g.n_vertices <= args.exact_cap else "float"
-    try:
-        spec = spectrum(
-            mat, method, exact_cap=args.exact_cap, cluster_tol=args.cluster_tol
-        )
-    except OversizeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        method = "exact" if order <= args.exact_cap else "float"
+    if method == "exact" and order > args.exact_cap:
+        print(f"error: order {order} exceeds exact cap {args.exact_cap}", file=sys.stderr)
         return EXIT_OVERSIZE
+    g = survey.variant_graph(args.n, args.variant)
+    mat = eccentricity_matrix(g)
+    spec = spectrum(mat, method, exact_cap=args.exact_cap, cluster_tol=args.cluster_tol)
     connected = is_connected(g)
     item = {
         "kind": "spectrum",
@@ -112,53 +97,19 @@ def cmd_spectrum(args) -> int:
     if exact_energy is not None:
         item["energy_exact"] = str(exact_energy)
     if method == "exact":
-        item["char_poly"] = char_poly(mat).text()
-        integral, cert = is_integral_spectrum(mat)
-        item["integral"] = integral
-        item["factorization"] = cert.text()
+        item["char_poly"] = spec.certificate.poly.text()
+        item["integral"] = spec.certificate.integral
+        item["factorization"] = spec.certificate.text()
     if args.dump_graph:
-        rc = _write_dump(to_adjacency_text(g), args.dump_graph)
+        rc = _emit(to_adjacency_text(g), args.dump_graph)
         if rc:
             return rc
     if args.dump_matrix:
         text = "\n".join(" ".join(str(v) for v in row) for row in mat.tolist()) + "\n"
-        rc = _write_dump(text, args.dump_matrix)
+        rc = _emit(text, args.dump_matrix)
         if rc:
             return rc
     return _emit(_render([item], _command_echo(args), args.csv), args.output)
-
-
-def _enumerate_params(theorem: str, args) -> list[dict]:
-    if theorem in ("3.1", "3.4", "6.1", "6.3"):
-        if args.primes:
-            ps = args.primes
-        else:
-            ps = [p for p in primes_up_to(args.primes_up_to) if p >= args.primes_from]
-        return [
-            {"p1": p1, "p2": p2} for i, p1 in enumerate(ps) for p2 in ps[i + 1 :]
-        ]
-    if theorem in ("3.2", "3.3", "5.3", "6.2", "6.4"):
-        ps = args.primes or primes_up_to(args.primes_up_to)
-        return [{"p": p} for p in ps]
-    if theorem in ("5.1", "5.2"):
-        out = []
-        for p in primes_up_to(args.max_power):
-            t = 2
-            while p**t <= args.max_power:
-                out.append({"p": p, "t": t})
-                t += 1
-        return out
-    if theorem == "4.3":
-        return [{"n": n} for n in range(4, args.max_n + 1) if not is_prime(n)]
-    if theorem in ("4.1", "4.2"):
-        out = []
-        for n in range(4, args.max_n + 1):
-            if is_prime(n):
-                continue
-            if is_tree(build_zdg(n)):
-                out.append({"n": n})
-        return out
-    raise ValueError(f"unknown theorem {theorem!r}")
 
 
 def _parse_expected(raw: str, theorems: list[str]) -> set[str] | None:
@@ -188,7 +139,7 @@ def cmd_audit(args) -> int:
     theorems = list(claims.THEOREM_IDS) if args.theorem == "all" else [args.theorem]
     verdicts: list[claims.AuditVerdict] = []
     for theorem in theorems:
-        for params in _enumerate_params(theorem, args):
+        for params in claims.CLAIMS[theorem].family.enumerate(args):
             verdicts.append(
                 claims.audit(theorem, params, args.tol, exact_cap=args.exact_cap)
             )
@@ -261,6 +212,13 @@ def _command_echo(args) -> str:
     return " ".join(args._argv)
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not value >= 0:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"must be a number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zdgecc",
@@ -272,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--exact-cap", type=int, default=DEFAULT_EXACT_CAP,
                        help="largest matrix order for exact arithmetic")
-        p.add_argument("--cluster-tol", type=float, default=DEFAULT_CLUSTER_TOL,
-                       help="absolute tolerance for float multiplicity clustering")
+        p.add_argument("--cluster-tol", type=_tolerance, default=DEFAULT_CLUSTER_TOL,
+                       help="absolute tolerance (>= 0) for float multiplicity clustering")
         p.add_argument("--csv", action="store_true", help="flat CSV instead of JSON")
         p.add_argument("--output", help="write the report here instead of stdout")
 

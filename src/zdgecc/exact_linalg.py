@@ -225,10 +225,12 @@ def _numeric_integer_candidates(poly: IntPoly) -> list[int]:
 
 @dataclass(frozen=True)
 class IntegralityCertificate:
-    """Outcome of the complete-linear-factorization test."""
+    """Exact characteristic polynomial split into integer linear factors and
+    the residual that has no integer root."""
 
     roots: tuple[tuple[int, int], ...]
     residual: IntPoly
+    poly: IntPoly
 
     @property
     def integral(self) -> bool:
@@ -244,19 +246,25 @@ class IntegralityCertificate:
         return " * ".join(parts) if parts else "1"
 
 
-def is_integral_spectrum(mat) -> tuple[bool, IntegralityCertificate]:
-    """Whether the exact characteristic polynomial splits into integer linear factors.
+def integrality_certificate(mat) -> IntegralityCertificate:
+    """Factor the exact characteristic polynomial of a symmetric integer matrix.
 
-    The root search is exhaustive: all eigenvalues of a symmetric matrix lie
-    within the maximum absolute row sum, which bounds the candidate integers.
+    The polynomial is computed once.  The root search is exhaustive: all
+    eigenvalues of a symmetric matrix lie within the maximum absolute row
+    sum, which bounds the candidate integers.
     """
+    poly = char_poly(mat)  # rejects non-integer entries before the cast below
     arr = np.asarray(mat, dtype=np.int64)
     if not np.array_equal(arr, arr.T):
         raise ValueError("integrality test expects a symmetric integer matrix")
-    poly = char_poly(arr)
     bound = int(np.abs(arr).sum(axis=1).max()) if arr.size else 0
     roots, residual = integer_roots(poly, bound=bound)
-    cert = IntegralityCertificate(tuple(roots), residual)
+    return IntegralityCertificate(tuple(roots), residual, poly)
+
+
+def is_integral_spectrum(mat) -> tuple[bool, IntegralityCertificate]:
+    """Whether the exact characteristic polynomial splits into integer linear factors."""
+    cert = integrality_certificate(mat)
     return cert.integral, cert
 
 

@@ -142,26 +142,12 @@ def build_extended_zdg(n: int) -> Graph:
 def build_compressed_zdg(n: int) -> Graph:
     """Compressed zero-divisor graph on annihilator-equivalence classes.
 
-    Classes are found by grouping the explicit annihilator sets
-    ann(u) = {w in Z_n : u*w = 0}; each class is labelled by its smallest
-    member, and two classes are adjacent iff their representatives multiply
-    to zero mod n.
+    ann(u) is the set of multiples of n / gcd(u, n), so the classes are the
+    gcd classes, each labelled by its smallest member, the proper divisor d;
+    classes d and e are adjacent iff n | d*e.  That is the divisor skeleton
+    ``upsilon(n)``.
     """
-    labels = _zero_divisor_labels(n)
-    ring = np.arange(n, dtype=np.int64)
-    groups: dict[bytes, list[int]] = {}
-    for u in labels.tolist():
-        ann = ((u * ring) % n == 0).tobytes()
-        groups.setdefault(ann, []).append(u)
-    classes = sorted(groups.values(), key=min)
-    reps = [min(c) for c in classes]
-    k = len(reps)
-    adj = np.zeros((k, k), dtype=bool)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if (reps[i] * reps[j]) % n == 0:
-                adj[i, j] = adj[j, i] = True
-    return Graph(reps, adj)
+    return upsilon(n)
 
 
 def build_zdg_zpzp(p: int) -> Graph:

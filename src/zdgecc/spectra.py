@@ -8,14 +8,14 @@ only the non-integer residual eigenvalues as floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
 from zdgecc import graphs
 from zdgecc.eccentricity import eccentricity_matrix
-from zdgecc.exact_linalg import char_poly, integer_roots
+from zdgecc.exact_linalg import IntegralityCertificate, integrality_certificate
 from zdgecc.number_theory import factorize
 
 DEFAULT_EXACT_CAP = 150
@@ -133,6 +133,8 @@ class Spectrum:
     """Eigenvalue multiset with strictly increasing distinct values."""
 
     entries: tuple[SpectrumEntry, ...]
+    # exact mode: the factorization the entries were read from
+    certificate: IntegralityCertificate | None = field(default=None, compare=False)
 
     def __post_init__(self):
         vals = [e.float_value for e in self.entries]
@@ -252,8 +254,9 @@ def spectrum(
     mode "float": Jacobi eigenvalues clustered at cluster_tol.
     mode "exact": integer eigenvalues extracted exactly from the
     characteristic polynomial; residual (irrational) eigenvalues are the
-    leftover Jacobi values, tagged as floats.  Raises OversizeError above
-    exact_cap.  mode "auto" picks "exact" when the order allows it.
+    leftover Jacobi values, tagged as floats; the factorization is kept as
+    the result's ``certificate``.  Raises OversizeError above exact_cap.
+    mode "auto" picks "exact" when the order allows it.
     """
     arr = np.asarray(mat)
     n = arr.shape[0]
@@ -269,12 +272,10 @@ def spectrum(
         )
     if n > exact_cap:
         raise OversizeError(f"order {n} exceeds exact cap {exact_cap}")
-    poly = char_poly(arr)
-    bound = int(np.abs(np.asarray(arr, dtype=np.int64)).sum(axis=1).max()) if n else 0
-    roots, residual = integer_roots(poly, bound=bound)
+    cert = integrality_certificate(arr)
     floats = eigenvalues_symmetric(arr)
     remaining = list(floats)
-    for root, mult in roots:
+    for root, mult in cert.roots:
         for _ in range(mult):
             idx = min(range(len(remaining)), key=lambda i: abs(remaining[i] - root))
             if abs(remaining[idx] - root) > 1e-6:
@@ -283,14 +284,14 @@ def spectrum(
                     f"(nearest {remaining[idx]!r})"
                 )
             remaining.pop(idx)
-    if len(remaining) != residual.degree:
+    if len(remaining) != cert.residual.degree:
         raise ArithmeticError(
-            f"residual degree {residual.degree} but {len(remaining)} float "
+            f"residual degree {cert.residual.degree} but {len(remaining)} float "
             "eigenvalues left unmatched"
         )
-    pairs: list[tuple[object, int, bool]] = [(r, m, True) for r, m in roots]
+    pairs: list[tuple[object, int, bool]] = [(r, m, True) for r, m in cert.roots]
     pairs.extend((v, m, False) for v, m in _cluster(sorted(remaining), cluster_tol))
-    return Spectrum.from_pairs(pairs, cluster_tol=cluster_tol)
+    return replace(Spectrum.from_pairs(pairs, cluster_tol=cluster_tol), certificate=cert)
 
 
 def energy(spec: Spectrum) -> float:

@@ -17,6 +17,7 @@ import zdgecc
 from zdgecc.eccentricity import eccentricity_matrix, is_irreducible
 from zdgecc.exact_linalg import is_integral_spectrum
 from zdgecc.graphs import (
+    EmptyGraphError,
     Graph,
     build_compressed_zdg,
     build_extended_zdg,
@@ -27,7 +28,7 @@ from zdgecc.graphs import (
     is_star,
     is_tree,
 )
-from zdgecc.number_theory import is_prime
+from zdgecc.number_theory import euler_phi, is_prime, num_proper_divisors
 from zdgecc.report import fmt_float
 from zdgecc.spectra import DEFAULT_CLUSTER_TOL, DEFAULT_EXACT_CAP, spectrum
 
@@ -44,6 +45,17 @@ def variant_graph(n: int, variant: str) -> Graph:
     if variant == "complement":
         return complement(build_zdg(n))
     raise ValueError(f"unknown variant {variant!r}")
+
+
+def variant_order(n: int, variant: str) -> int:
+    """Vertex count of ``variant_graph(n, variant)``, found without building it:
+    the n - phi(n) - 1 nonzero zero divisors, or the tau(n) - 2 proper
+    divisors for the compressed graph."""
+    if n < 4 or is_prime(n):
+        raise EmptyGraphError(f"Z_{n} has no nonzero zero divisors")
+    if variant == "compressed":
+        return num_proper_divisors(n)
+    return n - euler_phi(n) - 1
 
 
 def survey_record(
@@ -124,8 +136,14 @@ def run_survey(
         cache_path.mkdir(parents=True, exist_ok=True)
         for n in ns:
             f = cache_path / (_cache_key(n, variant, opts) + ".json")
-            if f.exists():
-                records[n] = json.loads(f.read_text())
+            try:
+                rec = json.loads(f.read_text())
+            except (OSError, ValueError):
+                rec = None
+            # a missing or unreadable entry, or one for another (n, variant),
+            # is a miss: recomputed below and rewritten
+            if isinstance(rec, dict) and rec.get("n") == n and rec.get("variant") == variant:
+                records[n] = rec
             else:
                 todo.append(n)
     else:
@@ -139,6 +157,9 @@ def run_survey(
     for n, rec in zip(todo, fresh):
         records[n] = rec
         if cache_path is not None:
+            # write a temp file and rename it, so no reader sees a partial entry
             f = cache_path / (_cache_key(n, variant, opts) + ".json")
-            f.write_text(json.dumps(rec, sort_keys=True))
+            tmp = f.with_name(f"{f.name}.{os.getpid()}.tmp")
+            tmp.write_text(json.dumps(rec, sort_keys=True))
+            os.replace(tmp, f)
     return [records[n] for n in ns]

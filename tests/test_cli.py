@@ -267,3 +267,79 @@ def test_complement_report_flags_convention(capsys):
     item = rep["items"][0]
     assert item["connected"] is False
     assert item["ecc_convention"] == "per-component"
+
+
+# ---------------------------------------------------------------------------
+# input checks made before any work
+
+
+@pytest.fixture
+def no_graph_builds(monkeypatch):
+    """Make every graph construction fail, so a test proves none happens."""
+    from zdgecc import graphs, survey
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    for name in ("build_zdg", "build_extended_zdg", "build_compressed_zdg", "complement", "upsilon"):
+        for mod in (graphs, survey):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+
+
+@pytest.mark.parametrize("variant", ["zdg", "extended", "compressed", "complement"])
+def test_spectrum_oversize_exit_3_before_building(capsys, no_graph_builds, variant):
+    # orders at n = 10^6: 599999 zero divisors, 47 proper divisors
+    code, out, err = run(
+        capsys, "spectrum", "--n", "1000000", "--variant", variant,
+        "--method", "exact", "--exact-cap", "40",
+    )
+    assert code == 3
+    assert out == ""
+    assert "exceeds exact cap 40" in err
+
+
+@pytest.mark.parametrize("n", ["7", "3", "0", "-5"])
+def test_spectrum_domain_error_exit_2_before_building(capsys, no_graph_builds, n):
+    code, out, err = run(capsys, "spectrum", "--n", n, "--method", "exact")
+    assert code == 2
+    assert "zero divisors" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--n", "8"),
+        ("audit", "--theorem", "4.3", "--max-n", "10"),
+        ("survey", "--max-n", "10"),
+    ],
+)
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_cluster_tol_must_be_non_negative(capsys, argv, tol):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--cluster-tol", tol])
+    assert exc.value.code == 2
+    assert "--cluster-tol" in capsys.readouterr().err
+
+
+def test_spectrum_dump_matrix_to_stdout(capsys):
+    code, out, err = run(capsys, "spectrum", "--n", "8", "--dump-matrix", "-")
+    assert code == 0
+    assert out.startswith("0 1 2\n1 0 1\n2 1 0\n{")
+
+
+def test_survey_cache_recovers_corrupt_entries(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    argv = ("survey", "--max-n", "20", "--cache", "--cache-dir", str(cache))
+    code, cold, _ = run(capsys, *argv)
+    assert code == 0
+    garbage, foreign = sorted(cache.glob("*.json"))[:2]
+    garbage.write_text("{not json")
+    foreign.write_text(json.dumps({"kind": "survey", "n": 999, "variant": "zdg"}))
+    code, warm, err = run(capsys, *argv)
+    assert code == 0, err
+    assert warm == cold
+    records = json.loads(cold)["items"]
+    for entry in (garbage, foreign):
+        assert json.loads(entry.read_text()) in records
+    assert sorted(p.suffix for p in cache.iterdir()) == [".json"] * len(records)
