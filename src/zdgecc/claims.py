@@ -39,6 +39,7 @@ from zdgecc.graphs import (
     is_tree,
 )
 from zdgecc.number_theory import is_prime, primes_up_to
+from zdgecc.report import fmt_value
 from zdgecc.spectra import DEFAULT_EXACT_CAP, Spectrum, spectrum
 from zdgecc.survey import variant_order
 
@@ -200,12 +201,6 @@ def _lookup(claim_id: str) -> TheoremClaim:
         raise ValueError(f"unknown claim id {claim_id!r}") from None
 
 
-def _fmt(x) -> str:
-    if isinstance(x, Fraction) or isinstance(x, int):
-        return str(x)
-    return "%.12g" % float(x)
-
-
 def _params(**kwargs) -> tuple[tuple[str, int], ...]:
     return tuple((k, int(v)) for k, v in kwargs.items())
 
@@ -335,7 +330,7 @@ def _claimed_sanity(spec: Spectrum) -> dict:
     total = float(exact_part) + float_part
     zero = abs(total) <= 1e-6 * max(1, spec.order)
     return {
-        "claimed_trace": _fmt(exact_part) if spec.all_exact else _fmt(total),
+        "claimed_trace": fmt_value(exact_part) if spec.all_exact else fmt_value(total),
         "claimed_trace_zero": zero,
     }
 
@@ -358,7 +353,7 @@ def _compare_spectra(claimed: Spectrum, computed: Spectrum, tol: float) -> dict:
     matches = (not exact_mismatch) and max_dev <= tol
     return {
         "matches": matches,
-        "max_deviation": _fmt(max_dev),
+        "max_deviation": fmt_value(max_dev),
         "worst_pair": {"claimed": worst[0], "computed": worst[1]} if worst else None,
         "exact_mismatch": exact_mismatch,
     }
@@ -448,9 +443,9 @@ def _energy_audit(claim: TheoremClaim, q: dict, tol: float, exact_cap: int):
     formula = claim.payload(q)
     exact_energy = spec_c.energy_exact()
     ev = {
-        "complement_energy": _fmt(spec_c.energy()),
-        "complement_energy_exact": None if exact_energy is None else _fmt(exact_energy),
-        "formula_value": _fmt(formula),
+        "complement_energy": fmt_value(spec_c.energy()),
+        "complement_energy_exact": None if exact_energy is None else fmt_value(exact_energy),
+        "formula_value": fmt_value(formula),
         "complement_spectrum": _spectrum_json(spec_c),
     }
     if exact_energy is not None:
@@ -465,17 +460,17 @@ def _gap_audit(claim: TheoremClaim, q: dict, tol: float, exact_cap: int):
     bound = claim.payload(q)
     gap = abs(spec_g.energy() - spec_c.energy())
     ev = {
-        "energy": _fmt(spec_g.energy()),
-        "complement_energy": _fmt(spec_c.energy()),
-        "gap": _fmt(gap),
-        "bound": _fmt(bound),
+        "energy": fmt_value(spec_g.energy()),
+        "complement_energy": fmt_value(spec_c.energy()),
+        "gap": fmt_value(gap),
+        "bound": fmt_value(bound),
     }
     ok_gap = gap <= bound + tol
     if claim.eigenvalue_bound is not None:
         lam_bound = claim.eigenvalue_bound(q)
         worst = max(abs(e.float_value) for s in (spec_g, spec_c) for e in s.entries)
-        ev["eigenvalue_bound"] = _fmt(lam_bound)
-        ev["max_abs_eigenvalue"] = _fmt(worst)
+        ev["eigenvalue_bound"] = fmt_value(lam_bound)
+        ev["max_abs_eigenvalue"] = fmt_value(worst)
         ok_gap = ok_gap and worst <= lam_bound + tol
     return _verdict(ok_gap), ev
 
@@ -509,7 +504,7 @@ def _least_eigenvalue_audit(claim: TheoremClaim, q: dict, tol: float, exact_cap:
     least = spectrum(eccentricity_matrix(g), "float").least()
     star = is_star(g)
     at_minus_two = abs(least + 2.0) <= 1e-9
-    ev = {"least_eigenvalue": _fmt(least), "star": star}
+    ev = {"least_eigenvalue": fmt_value(least), "star": star}
     return _verdict(least <= -2.0 + 1e-9 and (at_minus_two == star)), ev
 
 

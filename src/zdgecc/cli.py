@@ -13,15 +13,8 @@ import sys
 from pathlib import Path
 
 from zdgecc import claims, report, survey
-from zdgecc.eccentricity import eccentricity_matrix, is_irreducible
-from zdgecc.graphs import (
-    EmptyGraphError,
-    is_complete,
-    is_connected,
-    is_star,
-    is_tree,
-    to_adjacency_text,
-)
+from zdgecc.eccentricity import eccentricity_matrix
+from zdgecc.graphs import EmptyGraphError, to_adjacency_text
 from zdgecc.spectra import DEFAULT_CLUSTER_TOL, DEFAULT_EXACT_CAP, spectrum
 
 EXIT_OK = 0
@@ -70,29 +63,16 @@ def cmd_spectrum(args) -> int:
     g = survey.variant_graph(args.n, args.variant)
     mat = eccentricity_matrix(g)
     spec = spectrum(mat, method, exact_cap=args.exact_cap, cluster_tol=args.cluster_tol)
-    connected = is_connected(g)
+    structure = report.structure_fields(g)
     item = {
         "kind": "spectrum",
         "n": args.n,
         "variant": args.variant,
         "method": method,
-        "vertices": g.n_vertices,
-        "edges": g.n_edges,
-        "connected": connected,
-        "tree": is_tree(g),
-        "star": is_star(g),
-        "complete": is_complete(g),
-        "irreducible": is_irreducible(mat),
+        **structure,
+        **report.spectral_fields(mat, spec, structure["connected"]),
         "spectrum": report.spectrum_json(spec),
-        "energy": report.fmt_float(spec.energy()),
-        "spectral_radius": report.fmt_float(spec.spectral_radius()),
-        "least_eigenvalue": report.fmt_float(spec.least()),
-        "eigen_sum": report.fmt_float(spec.eigen_sum()),
     }
-    if not connected:
-        # the eccentricity matrix of a disconnected graph is assembled
-        # block-diagonally per component; make that visible in the report
-        item["ecc_convention"] = "per-component"
     exact_energy = spec.energy_exact()
     if exact_energy is not None:
         item["energy_exact"] = str(exact_energy)
@@ -258,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="modulus range for the tree-structure audits")
     p_audit.add_argument("--max-power", type=int, default=128,
                          help="largest p^t for the prime-power audits")
-    p_audit.add_argument("--tol", type=float, default=1e-7)
+    p_audit.add_argument("--tol", type=_tolerance, default=1e-7,
+                         help="absolute tolerance (>= 0) for claimed values")
     p_audit.add_argument("--expect-refutations", metavar="SPEC",
                          help="comma list or file of expected refutation keys; "
                          "exit 0 only on an exact match")

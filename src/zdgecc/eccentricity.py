@@ -53,7 +53,6 @@ def eccentricities(g: Graph) -> list[int]:
 
 def eccentricity_matrix(g: Graph) -> np.ndarray:
     """Eccentricity matrix with the per-component convention for disconnected graphs."""
-    n = g.n_vertices
     dist = distances(g)
     ecc = np.where(dist >= 0, dist, 0).max(axis=1)
     mins = np.minimum.outer(ecc, ecc)

@@ -239,7 +239,10 @@ class IntegralityCertificate:
     def text(self) -> str:
         parts = []
         for root, mult in self.roots:
-            base = f"(x - {root})" if root >= 0 else f"(x + {-root})"
+            if root == 0:
+                base = "x"
+            else:
+                base = f"(x - {root})" if root > 0 else f"(x + {-root})"
             parts.append(base if mult == 1 else f"{base}^{mult}")
         if not self.integral:
             parts.append(f"({self.residual.text()})")

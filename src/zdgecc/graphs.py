@@ -66,9 +66,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return self.adj.sum(axis=1)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[self.index_of(u), self.index_of(v)])
-
     def edge_set(self) -> set[tuple[int, int]]:
         """Edges as label pairs (small label first)."""
         ii, jj = np.nonzero(np.triu(self.adj, 1))

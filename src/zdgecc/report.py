@@ -1,6 +1,7 @@
-"""Machine-readable report assembly: versioned JSON schema and a flat CSV
-projection.  Reports are byte-identical across runs for the same inputs:
-no timestamps, sorted keys, floats fixed at 12 significant digits.
+"""Machine-readable report assembly: the fields of a report row, a
+versioned JSON schema and a flat CSV projection.  Reports are byte-identical
+across runs for the same inputs: no timestamps, sorted JSON keys, one fixed
+CSV column order, floats fixed at 12 significant digits.
 """
 
 from __future__ import annotations
@@ -11,8 +12,20 @@ import json
 from fractions import Fraction
 
 import zdgecc
+from zdgecc.eccentricity import is_irreducible
+from zdgecc.graphs import Graph, is_complete, is_connected, is_star, is_tree
 
 SCHEMA_VERSION = 1
+
+# CSV column order of every report row; keys not listed here (the audit
+# columns) follow in first-seen order
+COLUMNS = (
+    "kind", "n", "variant", "method",
+    "vertices", "edges", "connected", "tree", "star", "complete",
+    "irreducible", "spectrum", "energy", "spectral_radius", "least_eigenvalue",
+    "eigen_sum", "ecc_convention", "energy_exact",
+    "char_poly", "integral", "factorization", "residual",
+)
 
 
 def fmt_float(x: float) -> str:
@@ -23,6 +36,34 @@ def fmt_value(v) -> str:
     if isinstance(v, (int, Fraction)):
         return str(v)
     return fmt_float(v)
+
+
+def structure_fields(g: Graph) -> dict:
+    """The graph's size and structure flags."""
+    return {
+        "vertices": g.n_vertices,
+        "edges": g.n_edges,
+        "connected": is_connected(g),
+        "tree": is_tree(g),
+        "star": is_star(g),
+        "complete": is_complete(g),
+    }
+
+
+def spectral_fields(mat, spec, connected: bool) -> dict:
+    """Irreducibility of the eccentricity matrix and its spectral statistics."""
+    fields = {
+        "irreducible": is_irreducible(mat),
+        "energy": fmt_float(spec.energy()),
+        "spectral_radius": fmt_float(spec.spectral_radius()),
+        "least_eigenvalue": fmt_float(spec.least()),
+        "eigen_sum": fmt_float(spec.eigen_sum()),
+    }
+    if not connected:
+        # the eccentricity matrix of a disconnected graph is assembled
+        # block-diagonally per component; make that visible in the report
+        fields["ecc_convention"] = "per-component"
+    return fields
 
 
 def spectrum_json(spec) -> list[dict]:
@@ -63,8 +104,9 @@ def _flatten(value) -> str:
 
 
 def to_csv(items: list[dict]) -> str:
-    """Lossy flat projection: one row per item, union of keys as columns."""
-    columns: list[str] = []
+    """Lossy flat projection: one row per item, union of keys as columns,
+    in ``COLUMNS`` order whatever the key order of each item."""
+    columns = [c for c in COLUMNS if any(c in item for item in items)]
     for item in items:
         for key in item:
             if key not in columns:

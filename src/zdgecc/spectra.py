@@ -173,18 +173,8 @@ class Spectrum:
     def least(self) -> float:
         return self.entries[0].float_value
 
-    def largest(self) -> float:
-        return self.entries[-1].float_value
-
     def eigen_sum(self) -> float:
         return float(sum(e.float_value * e.multiplicity for e in self.entries))
-
-    def eigen_sum_exact(self) -> Fraction | None:
-        if not self.all_exact:
-            return None
-        return sum(
-            (e.value * e.multiplicity for e in self.entries), Fraction(0)
-        )
 
     def text(self) -> str:
         return "{" + ", ".join(

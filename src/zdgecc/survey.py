@@ -14,8 +14,8 @@ import os
 from pathlib import Path
 
 import zdgecc
-from zdgecc.eccentricity import eccentricity_matrix, is_irreducible
-from zdgecc.exact_linalg import is_integral_spectrum
+from zdgecc.eccentricity import eccentricity_matrix
+from zdgecc.exact_linalg import integrality_certificate
 from zdgecc.graphs import (
     EmptyGraphError,
     Graph,
@@ -23,13 +23,9 @@ from zdgecc.graphs import (
     build_extended_zdg,
     build_zdg,
     complement,
-    is_complete,
-    is_connected,
-    is_star,
-    is_tree,
 )
 from zdgecc.number_theory import euler_phi, is_prime, num_proper_divisors
-from zdgecc.report import fmt_float
+from zdgecc.report import spectral_fields, structure_fields
 from zdgecc.spectra import DEFAULT_CLUSTER_TOL, DEFAULT_EXACT_CAP, spectrum
 
 VARIANTS = ("zdg", "extended", "compressed", "complement")
@@ -67,35 +63,15 @@ def survey_record(
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> dict:
     g = variant_graph(n, variant)
-    rec = {
-        "kind": "survey",
-        "n": n,
-        "variant": variant,
-        "vertices": g.n_vertices,
-        "edges": g.n_edges,
-        "connected": is_connected(g),
-        "tree": is_tree(g),
-        "star": is_star(g),
-        "complete": is_complete(g),
-    }
+    rec = {"kind": "survey", "n": n, "variant": variant, **structure_fields(g)}
     if structure_only:
         return rec
     mat = eccentricity_matrix(g)
-    if not rec["connected"]:
-        rec["ecc_convention"] = "per-component"
-    rec["irreducible"] = is_irreducible(mat)
     spec = spectrum(mat, "float", cluster_tol=cluster_tol)
-    rec["energy"] = fmt_float(spec.energy())
-    rec["spectral_radius"] = fmt_float(spec.spectral_radius())
-    rec["least_eigenvalue"] = fmt_float(spec.least())
-    rec["eigen_sum"] = fmt_float(spec.eigen_sum())
-    if g.n_vertices <= exact_cap:
-        integral, cert = is_integral_spectrum(mat)
-        rec["integral"] = integral
-        rec["residual"] = None if integral else cert.residual.text()
-    else:
-        rec["integral"] = None
-        rec["residual"] = None
+    rec.update(spectral_fields(mat, spec, rec["connected"]))
+    cert = integrality_certificate(mat) if g.n_vertices <= exact_cap else None
+    rec["integral"] = None if cert is None else cert.integral
+    rec["residual"] = None if cert is None or cert.integral else cert.residual.text()
     return rec
 
 
@@ -149,6 +125,7 @@ def run_survey(
     else:
         todo = ns
     tasks = [(n, variant, opts) for n in todo]
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and len(tasks) > 1:
         with multiprocessing.Pool(workers) as pool:
             fresh = pool.map(_worker, tasks)

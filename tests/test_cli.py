@@ -343,3 +343,38 @@ def test_survey_cache_recovers_corrupt_entries(capsys, tmp_path):
     for entry in (garbage, foreign):
         assert json.loads(entry.read_text()) in records
     assert sorted(p.suffix for p in cache.iterdir()) == [".json"] * len(records)
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_audit_tol_must_be_non_negative(capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--theorem", "3.1", "--primes-up-to", "7", "--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_survey_workers_clamped_to_cpu_count(monkeypatch):
+    import os
+
+    from zdgecc import survey
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes=None):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(survey.multiprocessing, "Pool", SerialPool)
+    cpus = os.cpu_count() or 1
+    records = survey.run_survey(12, workers=cpus + 1)
+    assert started == ([cpus] if cpus > 1 else [])
+    assert records == survey.run_survey(12)

@@ -1,0 +1,80 @@
+"""Property tests: the library against the naive oracles on random composite
+moduli, and the CLI's exit codes on malformed arguments."""
+
+import contextlib
+import io
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import brute_ecc_matrix, brute_zdg_edges
+from zdgecc.cli import main
+from zdgecc.eccentricity import eccentricity_matrix
+from zdgecc.graphs import build_zdg
+from zdgecc.number_theory import is_prime
+
+COMPOSITES = [n for n in range(4, 61) if not is_prime(n)]
+
+PROPERTY = settings(max_examples=50, deadline=None, database=None)
+
+
+@PROPERTY
+@given(st.sampled_from(COMPOSITES))
+def test_zdg_and_eccentricity_matrix_match_oracles(n):
+    g = build_zdg(n)
+    edges = brute_zdg_edges(n)
+    assert g.edge_set() == edges
+    assert eccentricity_matrix(g).tolist() == brute_ecc_matrix(list(g.labels), edges)
+
+
+# Malformed argv grammar: each option may be missing or take a valid,
+# non-numeric, negative or NaN value; moduli stay small and every report
+# goes to stdout.
+N = st.sampled_from(["4", "8", "15", "36", "60", "7", "0", "-5", "abc", "nan", "1.5"])
+TOL = st.sampled_from(["0", "1e-6", "-1", "nan", "abc"])
+MAX_N = st.sampled_from(["4", "12", "30", "3", "0", "-3", "nan", "abc"])
+THEOREM = st.sampled_from(["3.1", "4.3", "9.9", "abc", ""])
+EXTRA = st.sampled_from([
+    [], ["--bogus"], ["--bogus", "1"], ["-x"], ["--csv"], ["--output", "-"],
+    ["--method", "exact", "--exact-cap", "5"], ["--variant", "nope"],
+])
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(["spectrum", "audit", "survey", "nope"]))
+    argv = [command]
+
+    def option(flag, values):
+        if draw(st.booleans()):
+            argv.extend([flag, draw(values)])
+
+    if command == "spectrum":
+        option("--n", N)
+    elif command == "audit":
+        option("--theorem", THEOREM)
+        option("--tol", TOL)
+        option("--max-n", MAX_N)
+        argv.extend(["--primes-up-to", "5", "--max-power", "16"])
+    elif command == "survey":
+        option("--max-n", MAX_N)
+    option("--cluster-tol", TOL)
+    return argv + draw(EXTRA)
+
+
+def exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@PROPERTY
+@given(argvs())
+def test_cli_exit_code_in_documented_set(argv):
+    assert exit_code(argv) in {0, 1, 2, 3, 4}
