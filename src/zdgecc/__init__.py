@@ -3,7 +3,7 @@
 The package builds the plain, extended and compressed zero-divisor graphs
 of the ring of integers modulo n, computes eccentricity matrices and their
 spectra both exactly (arbitrary-precision characteristic polynomials) and
-in floating point (cyclic Jacobi), and audits a catalogue of claimed
+in floating point (LAPACK, behind a backward-error check), and audits a catalogue of claimed
 closed-form spectra, energies and structure statements against computed
 ground truth.
 """

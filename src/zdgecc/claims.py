@@ -39,7 +39,7 @@ from zdgecc.graphs import (
     is_tree,
 )
 from zdgecc.number_theory import is_prime, primes_up_to
-from zdgecc.report import fmt_value
+from zdgecc.report import fmt_value, spectrum_json
 from zdgecc.spectra import DEFAULT_EXACT_CAP, Spectrum, spectrum
 from zdgecc.survey import variant_order
 
@@ -209,11 +209,6 @@ def _params(**kwargs) -> tuple[tuple[str, int], ...]:
 # claimed spectra
 
 
-def applicable(claim_id: str, params: dict) -> tuple[bool, str]:
-    """Whether the claim's stated hypotheses hold for these parameters."""
-    return _lookup(claim_id).applicable(params)
-
-
 def _theta_roots_34(p1: int, p2: int) -> tuple[list[tuple[float, int]], bool]:
     """Residual root set for claim 3.4 from the cleared rational expression.
 
@@ -313,13 +308,6 @@ def claimed_spectrum(claim_id: str, params: dict) -> Spectrum | MalformedClaim:
 # comparison machinery
 
 
-def _spectrum_json(spec: Spectrum) -> list[dict]:
-    return [
-        {"value": e.value_text(), "exact": e.exact, "multiplicity": e.multiplicity}
-        for e in spec.entries
-    ]
-
-
 def _claimed_sanity(spec: Spectrum) -> dict:
     exact_part = sum(
         (e.value * e.multiplicity for e in spec.entries if e.exact), Fraction(0)
@@ -393,11 +381,11 @@ def _spectrum_audit(claim: TheoremClaim, q: dict, tol: float, exact_cap: int):
             "reason": claimed.reason,
             "claimed_multiplicity_total": claimed.claimed_total,
             "matrix_order": claimed.expected_order,
-            "computed_spectrum": _spectrum_json(computed),
+            "computed_spectrum": spectrum_json(computed),
         }
     ev = {
-        "claimed_spectrum": _spectrum_json(claimed),
-        "computed_spectrum": _spectrum_json(computed),
+        "claimed_spectrum": spectrum_json(claimed),
+        "computed_spectrum": spectrum_json(computed),
     }
     ev.update(_claimed_sanity(claimed))
     cmp = _compare_spectra(claimed, computed, tol)
@@ -429,8 +417,8 @@ def _integrality_audit(claim: TheoremClaim, q: dict, tol: float, exact_cap: int)
     if claimed_integral:
         claimed = claimed_spectrum(claim.id, q)
         cmp = _compare_spectra(claimed, computed, tol)
-        ev["claimed_spectrum"] = _spectrum_json(claimed)
-        ev["computed_spectrum"] = _spectrum_json(computed)
+        ev["claimed_spectrum"] = spectrum_json(claimed)
+        ev["computed_spectrum"] = spectrum_json(computed)
         ev["max_deviation"] = cmp["max_deviation"]
         if not cmp["matches"]:
             return Verdict.REFUTED, ev
@@ -446,7 +434,7 @@ def _energy_audit(claim: TheoremClaim, q: dict, tol: float, exact_cap: int):
         "complement_energy": fmt_value(spec_c.energy()),
         "complement_energy_exact": None if exact_energy is None else fmt_value(exact_energy),
         "formula_value": fmt_value(formula),
-        "complement_spectrum": _spectrum_json(spec_c),
+        "complement_spectrum": spectrum_json(spec_c),
     }
     if exact_energy is not None:
         return _verdict(exact_energy == formula), ev

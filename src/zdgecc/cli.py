@@ -8,6 +8,7 @@ computation requested above the order cap; 4 unwritable output path.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -194,8 +195,8 @@ def _command_echo(args) -> str:
 
 def _tolerance(text: str) -> float:
     value = float(text)
-    if not value >= 0:  # also rejects NaN
-        raise argparse.ArgumentTypeError(f"must be a number >= 0, got {text!r}")
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
     return value
 
 
@@ -210,10 +211,13 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--exact-cap", type=int, default=DEFAULT_EXACT_CAP,
                        help="largest matrix order for exact arithmetic")
-        p.add_argument("--cluster-tol", type=_tolerance, default=DEFAULT_CLUSTER_TOL,
-                       help="absolute tolerance (>= 0) for float multiplicity clustering")
         p.add_argument("--csv", action="store_true", help="flat CSV instead of JSON")
         p.add_argument("--output", help="write the report here instead of stdout")
+
+    def cluster_tol(p):
+        p.add_argument("--cluster-tol", type=_tolerance, default=DEFAULT_CLUSTER_TOL,
+                       help="absolute tolerance (finite, >= 0) for float multiplicity "
+                       "clustering")
 
     p_spec = sub.add_parser("spectrum", help="spectrum of one modulus")
     p_spec.add_argument("--n", type=int, required=True)
@@ -223,6 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write adjacency-list text ('-' for stdout)")
     p_spec.add_argument("--dump-matrix", metavar="PATH",
                         help="write the eccentricity matrix rows ('-' for stdout)")
+    cluster_tol(p_spec)
     common(p_spec)
     p_spec.set_defaults(func=cmd_spectrum)
 
@@ -239,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--max-power", type=int, default=128,
                          help="largest p^t for the prime-power audits")
     p_audit.add_argument("--tol", type=_tolerance, default=1e-7,
-                         help="absolute tolerance (>= 0) for claimed values")
+                         help="absolute tolerance (finite, >= 0) for claimed values")
     p_audit.add_argument("--expect-refutations", metavar="SPEC",
                          help="comma list or file of expected refutation keys; "
                          "exit 0 only on an exact match")
@@ -255,6 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_survey.add_argument("--cache", action="store_true",
                           help="cache records on disk (see ZDG_CACHE_DIR)")
     p_survey.add_argument("--cache-dir")
+    cluster_tol(p_survey)
     common(p_survey)
     p_survey.set_defaults(func=cmd_survey)
     return parser

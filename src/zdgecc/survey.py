@@ -76,7 +76,10 @@ def survey_record(
 
 
 def _cache_key(n: int, variant: str, opts: dict) -> str:
-    material = {"n": n, "variant": variant, "version": zdgecc.__version__, **opts}
+    # "eigensolver" names the solver behind the cached floats, so entries
+    # written by another solver are misses, not mixed into fresh records
+    material = {"n": n, "variant": variant, "version": zdgecc.__version__,
+                "eigensolver": "eigh", **opts}
     blob = json.dumps(material, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 

@@ -314,7 +314,7 @@ def test_spectrum_domain_error_exit_2_before_building(capsys, no_graph_builds, n
         ("survey", "--max-n", "10"),
     ],
 )
-@pytest.mark.parametrize("tol", ["-1", "nan"])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 def test_cluster_tol_must_be_non_negative(capsys, argv, tol):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--cluster-tol", tol])
@@ -345,7 +345,7 @@ def test_survey_cache_recovers_corrupt_entries(capsys, tmp_path):
     assert sorted(p.suffix for p in cache.iterdir()) == [".json"] * len(records)
 
 
-@pytest.mark.parametrize("tol", ["-1", "nan"])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 def test_audit_tol_must_be_non_negative(capsys, tol):
     with pytest.raises(SystemExit) as exc:
         main(["audit", "--theorem", "3.1", "--primes-up-to", "7", "--tol", tol])

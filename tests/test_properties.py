@@ -31,10 +31,10 @@ def test_zdg_and_eccentricity_matrix_match_oracles(n):
 
 
 # Malformed argv grammar: each option may be missing or take a valid,
-# non-numeric, negative or NaN value; moduli stay small and every report
-# goes to stdout.
+# non-numeric, negative, NaN or infinite value; moduli stay small and every
+# report goes to stdout.
 N = st.sampled_from(["4", "8", "15", "36", "60", "7", "0", "-5", "abc", "nan", "1.5"])
-TOL = st.sampled_from(["0", "1e-6", "-1", "nan", "abc"])
+TOL = st.sampled_from(["0", "1e-6", "-1", "nan", "inf", "abc"])
 MAX_N = st.sampled_from(["4", "12", "30", "3", "0", "-3", "nan", "abc"])
 THEOREM = st.sampled_from(["3.1", "4.3", "9.9", "abc", ""])
 EXTRA = st.sampled_from([

@@ -1,6 +1,7 @@
 """Report rows: shared field builders, the fixed CSV column order, and the
 factorization text."""
 
+import hashlib
 import json
 import random
 
@@ -36,6 +37,20 @@ def test_survey_csv_identical_across_cache_states(capsys, tmp_path, variant):
     assert cold.splitlines()[0].startswith("kind,n,variant,vertices,edges,")
     assert warm == cold
     assert half_warm == cold
+
+
+def test_survey_cache_ignores_entries_from_another_eigensolver(tmp_path):
+    # an entry under the key material used before the eigensolver was named
+    # in it must be recomputed, not served
+    opts = {"structure_only": False, "exact_cap": 150, "cluster_tol": 1e-6}
+    material = {"n": 8, "variant": "zdg", "version": "0.1.0", **opts}
+    key = hashlib.sha256(json.dumps(material, sort_keys=True).encode()).hexdigest()
+    stale = {**survey.survey_record(8), "eigen_sum": "sentinel"}
+    tmp_path.joinpath(key + ".json").write_text(json.dumps(stale, sort_keys=True))
+    records = survey.run_survey(8, cache_dir=tmp_path)
+    assert [r["n"] for r in records] == [4, 6, 8]
+    assert records[-1]["eigen_sum"] != "sentinel"
+    assert records[-1] == survey.survey_record(8)
 
 
 def test_csv_columns_ignore_item_key_order():

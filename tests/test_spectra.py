@@ -8,6 +8,7 @@ from zdgecc.eccentricity import eccentricity_matrix
 from zdgecc.graphs import build_zdg, build_extended_zdg, complement, complete_graph
 from zdgecc.number_theory import is_prime, primes_up_to
 from zdgecc.spectra import (
+    ConvergenceError,
     NotApplicableError,
     OversizeError,
     Spectrum,
@@ -24,7 +25,7 @@ def ecc(n):
 
 
 # ---------------------------------------------------------------------------
-# Jacobi eigensolver
+# eigensolver
 
 
 def test_jacobi_diagonal():
@@ -65,6 +66,23 @@ def test_jacobi_rejects_asymmetric():
 def test_jacobi_rejects_bad_tol():
     with pytest.raises(ValueError):
         eigenvalues_symmetric(np.eye(2), tol=0.0)
+
+
+@pytest.mark.parametrize(
+    "mat", [[[math.nan, 0.0], [0.0, 1.0]], [[math.inf, 1.0], [1.0, 0.0]]]
+)
+def test_eigensolver_rejects_non_finite_entries(mat):
+    with pytest.raises(ValueError, match="non-finite"):
+        eigenvalues_symmetric(np.array(mat))
+
+
+def test_eigensolver_backward_error_bound_is_tol():
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((20, 20))
+    m = m + m.T
+    assert len(eigenvalues_symmetric(m)) == 20
+    with pytest.raises(ConvergenceError, match="backward error"):
+        eigenvalues_symmetric(m, tol=1e-20)
 
 
 # ---------------------------------------------------------------------------
