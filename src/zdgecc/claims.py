@@ -27,7 +27,6 @@ from typing import Callable
 import numpy as np
 
 from zdgecc.eccentricity import eccentricity_matrix, is_irreducible
-from zdgecc.exact_linalg import integrality_certificate
 from zdgecc.graphs import (
     Graph,
     build_extended_zdg,
@@ -100,7 +99,8 @@ def _prime_pairs(args) -> list[dict]:
 
 def _prime_powers(args) -> list[dict]:
     out = []
-    for p in primes_up_to(args.max_power):
+    # only p <= isqrt(max_power) has p^2 <= max_power
+    for p in primes_up_to(math.isqrt(args.max_power)):
         t = 2
         while p**t <= args.max_power:
             out.append({"p": p, "t": t})
@@ -155,7 +155,8 @@ class TheoremClaim:
     ``order(ring(params))`` vertices; ``payload`` is the claimed (value,
     multiplicity, exact) triples (None where none are stated, MalformedClaim
     where they are not real), energy value or gap bound; ``check`` audits an
-    applicable point within the exact cap, returning (verdict, evidence)."""
+    applicable point within the exact cap against that ground-truth graph,
+    returning (verdict, evidence)."""
 
     id: str
     kind: str  # spectrum | integrality | energy | gap | structure
@@ -364,17 +365,17 @@ def _computed_spectrum(graph, exact_cap: int) -> Spectrum:
 
 
 # ----------------------------------------------------------------------------
-# audits: each takes (claim, params, tol, exact_cap) for an applicable point
-# within the exact cap and returns (verdict, evidence)
+# audits: each takes (claim, params, graph, tol, exact_cap) for an applicable
+# point within the exact cap, where graph is the ground truth
+# claim.graph(claim.ring(params)), and returns (verdict, evidence)
 
 
 def _verdict(ok: bool) -> Verdict:
     return Verdict.VERIFIED if ok else Verdict.REFUTED
 
 
-def _spectrum_audit(claim: TheoremClaim, q: dict, tol: float, exact_cap: int):
+def _spectrum_audit(claim: TheoremClaim, q: dict, graph: Graph, tol: float, exact_cap: int):
     claimed = claimed_spectrum(claim.id, q)
-    graph = claim.graph(claim.ring(q))
     computed = _computed_spectrum(graph, exact_cap)
     if isinstance(claimed, MalformedClaim):
         return Verdict.MALFORMED_CLAIM, {
@@ -398,14 +399,10 @@ def _spectrum_audit(claim: TheoremClaim, q: dict, tol: float, exact_cap: int):
     return _verdict(cmp["matches"]), ev
 
 
-def _integrality_audit(claim: TheoremClaim, q: dict, tol: float, exact_cap: int):
-    graph = claim.graph(claim.ring(q))
+def _integrality_audit(claim: TheoremClaim, q: dict, graph: Graph, tol: float, exact_cap: int):
     claimed_integral = q["t"] == 2
-    if claimed_integral:
-        computed = _computed_spectrum(graph, exact_cap)
-        cert = computed.certificate
-    else:
-        cert = integrality_certificate(eccentricity_matrix(graph))
+    computed = _computed_spectrum(graph, exact_cap)
+    cert = computed.certificate
     ev = {
         "computed_integral": cert.integral,
         "claimed_integral": claimed_integral,
@@ -425,9 +422,8 @@ def _integrality_audit(claim: TheoremClaim, q: dict, tol: float, exact_cap: int)
     return Verdict.VERIFIED, ev
 
 
-def _energy_audit(claim: TheoremClaim, q: dict, tol: float, exact_cap: int):
-    g_c = complement(claim.graph(claim.ring(q)))
-    spec_c = spectrum(eccentricity_matrix(g_c), "exact", exact_cap=exact_cap)
+def _energy_audit(claim: TheoremClaim, q: dict, graph: Graph, tol: float, exact_cap: int):
+    spec_c = _computed_spectrum(complement(graph), exact_cap)
     formula = claim.payload(q)
     exact_energy = spec_c.energy_exact()
     ev = {
@@ -441,10 +437,9 @@ def _energy_audit(claim: TheoremClaim, q: dict, tol: float, exact_cap: int):
     return _verdict(abs(spec_c.energy() - float(formula)) <= tol), ev
 
 
-def _gap_audit(claim: TheoremClaim, q: dict, tol: float, exact_cap: int):
-    g = claim.graph(claim.ring(q))
-    spec_g = spectrum(eccentricity_matrix(g), "exact", exact_cap=exact_cap)
-    spec_c = spectrum(eccentricity_matrix(complement(g)), "exact", exact_cap=exact_cap)
+def _gap_audit(claim: TheoremClaim, q: dict, graph: Graph, tol: float, exact_cap: int):
+    spec_g = _computed_spectrum(graph, exact_cap)
+    spec_c = _computed_spectrum(complement(graph), exact_cap)
     bound = claim.payload(q)
     gap = abs(spec_g.energy() - spec_c.energy())
     ev = {
@@ -463,34 +458,31 @@ def _gap_audit(claim: TheoremClaim, q: dict, tol: float, exact_cap: int):
     return _verdict(ok_gap), ev
 
 
-def _tree_iff_2p_audit(claim: TheoremClaim, q: dict, tol: float, exact_cap: int):
+def _tree_iff_2p_audit(claim: TheoremClaim, q: dict, graph: Graph, tol: float, exact_cap: int):
     n = q["n"]
-    g = claim.graph(n)
-    tree = is_tree(g)
+    tree = is_tree(graph)
     is_2p = n % 2 == 0 and is_prime(n // 2)
-    star = is_star(g) if tree else False
+    star = is_star(graph) if tree else False
     ev = {"tree": tree, "n_is_2p": is_2p, "star": star}
     return _verdict(tree == is_2p and (not is_2p or star)), ev
 
 
-def _irreducible_audit(claim: TheoremClaim, q: dict, tol: float, exact_cap: int):
-    g = claim.graph(q["n"])
-    if not is_tree(g):
+def _irreducible_audit(claim: TheoremClaim, q: dict, graph: Graph, tol: float, exact_cap: int):
+    if not is_tree(graph):
         return Verdict.NOT_APPLICABLE, {"reason": "zero-divisor graph is not a tree"}
-    irr = is_irreducible(eccentricity_matrix(g))
+    irr = is_irreducible(eccentricity_matrix(graph))
     return _verdict(irr), {"irreducible": irr}
 
 
-def _least_eigenvalue_audit(claim: TheoremClaim, q: dict, tol: float, exact_cap: int):
-    g = claim.graph(q["n"])
-    if not is_tree(g):
+def _least_eigenvalue_audit(claim: TheoremClaim, q: dict, graph: Graph, tol: float, exact_cap: int):
+    if not is_tree(graph):
         return Verdict.NOT_APPLICABLE, {"reason": "zero-divisor graph is not a tree"}
-    if g.n_vertices < 3:
+    if graph.n_vertices < 3:
         return Verdict.NOT_APPLICABLE, {
             "reason": "statement excludes trees on fewer than 3 vertices"
         }
-    least = spectrum(eccentricity_matrix(g), "float").least()
-    star = is_star(g)
+    least = spectrum(eccentricity_matrix(graph), "float").least()
+    star = is_star(graph)
     at_minus_two = abs(least + 2.0) <= 1e-9
     ev = {"least_eigenvalue": fmt_value(least), "star": star}
     return _verdict(least <= -2.0 + 1e-9 and (at_minus_two == star)), ev
@@ -511,14 +503,15 @@ def audit(
         # the tree audits report the modulus itself as the reason
         reason = "n is prime" if claim.kind == "structure" else why
         return AuditVerdict(claim.id, prm, Verdict.NOT_APPLICABLE, {"reason": reason})
+    modulus = claim.ring(params)
     if claim.kind != "structure":
-        order = claim.order(claim.ring(params))
+        order = claim.order(modulus)
         if order > exact_cap:
             return AuditVerdict(
                 claim.id, prm, Verdict.SKIPPED,
                 {"reason": f"order {order} exceeds exact cap {exact_cap}"},
             )
-    verdict, evidence = claim.check(claim, params, tol, exact_cap)
+    verdict, evidence = claim.check(claim, params, claim.graph(modulus), tol, exact_cap)
     return AuditVerdict(claim.id, prm, verdict, evidence)
 
 

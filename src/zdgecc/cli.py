@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (audits: no unexpected refutations); 1 audit refutation
 mismatch; 2 usage or domain error (prime modulus, unknown theorem); 3 exact
-computation requested above the order cap; 4 unwritable output path.
+computation requested above the order cap, or input too large to build in
+memory; 4 unwritable output path.
 """
 
 from __future__ import annotations
@@ -271,7 +272,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args._argv = argv
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MemoryError as exc:  # a survey pool re-raises its workers' errors here
+        print(f"error: too large to build in memory: {exc}", file=sys.stderr)
+        return EXIT_OVERSIZE
 
 
 if __name__ == "__main__":

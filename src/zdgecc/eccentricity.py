@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from zdgecc.graphs import Graph, distances
+from zdgecc.graphs import Graph, _reachable, distances
 
 
 class EquitabilityError(ValueError):
@@ -63,18 +63,9 @@ def eccentricity_matrix(g: Graph) -> np.ndarray:
 def is_irreducible(mat: np.ndarray) -> bool:
     """True iff the nonzero-support graph of the matrix is connected."""
     mat = np.asarray(mat)
-    n = mat.shape[0]
-    if n == 0:
+    if mat.shape[0] == 0:
         return False
-    support = mat != 0
-    comp = np.zeros(n, dtype=bool)
-    comp[0] = True
-    frontier = comp.copy()
-    while frontier.any():
-        nxt = support[frontier].any(axis=0) & ~comp
-        comp |= nxt
-        frontier = nxt
-    return bool(comp.all())
+    return bool(_reachable(mat != 0, 0).all())
 
 
 def quotient_matrix(mat: np.ndarray, partition: Partition) -> list[list[Fraction]]:

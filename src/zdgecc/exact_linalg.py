@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from sympy import ZZ
+from sympy import ZZ, integer_nthroot
 from sympy.polys.matrices import DomainMatrix
 
 RatMatrix = list[list[Fraction]]
@@ -155,18 +155,17 @@ def char_poly(mat) -> IntPoly:
     return IntPoly.from_descending([int(c) for c in dm.charpoly()])
 
 
-def _small_divisors(m: int) -> list[int]:
-    """All positive divisors of |m| by trial division (|m| <= ~1e12)."""
-    m = abs(m)
-    divs = []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            divs.append(d)
-            if d != m // d:
-                divs.append(m // d)
-        d += 1
-    return sorted(divs)
+def _fujiwara_bound(poly: IntPoly) -> int:
+    """Integer bound on the absolute value of every root of a monic polynomial:
+    Fujiwara's 2 * max(|a_{d-1}|, |a_{d-2}|^(1/2), ..., |a_0 / 2|^(1/d))
+    (Fujiwara 1916), with each root rounded up in exact integer arithmetic."""
+    d = poly.degree
+    out = 0
+    for k in range(1, d + 1):
+        m = abs(poly.coeffs[d - k]) if k < d else (abs(poly.coeffs[0]) + 1) // 2
+        root, exact = integer_nthroot(m, k)
+        out = max(out, root if exact else root + 1)
+    return 2 * out
 
 
 def integer_roots(
@@ -174,11 +173,11 @@ def integer_roots(
 ) -> tuple[list[tuple[int, int]], IntPoly]:
     """All integer roots of a monic polynomial, with multiplicities, plus residual.
 
-    Candidates come from an explicit root bound when given (exhaustive over
-    [-bound, bound]); otherwise from the divisors of the constant term when it
-    is small enough to factor by trial division, falling back to rounded
-    numerical roots.  Every extraction is verified by exact synthetic
-    division, so the result is exact regardless of the candidate source.
+    The search is exhaustive over [-bound, bound]: the given bound, or
+    Fujiwara's root bound of the polynomial when none is given.  A nonzero
+    integer root divides the constant term, so only its divisors are
+    deflated, and every extraction is verified by exact synthetic division.
+    The scan takes time linear in the bound.
     """
     if not poly.is_monic:
         raise ValueError("integer_roots requires a monic polynomial")
@@ -187,40 +186,16 @@ def integer_roots(
     while work.degree > 0 and work.coeffs[0] == 0:
         work, _ = work.deflate(0)
         found[0] = found.get(0, 0) + 1
-    if bound is not None:
-        candidates = [c for c in range(-int(bound), int(bound) + 1) if c != 0]
-    elif abs(work.coeffs[0]) <= 10**12 and work.degree > 0:
-        divs = _small_divisors(work.coeffs[0])
-        candidates = [s * d for d in divs for s in (1, -1)]
-    elif work.degree > 0:
-        candidates = _numeric_integer_candidates(work)
-    else:
-        candidates = []
-    for cand in sorted(set(candidates)):
-        while work.degree > 0:
+    if bound is None:
+        bound = _fujiwara_bound(work)
+    for cand in range(-int(bound), int(bound) + 1):
+        while work.degree > 0 and cand and work.coeffs[0] % cand == 0:
             quo, rem = work.deflate(cand)
             if rem != 0:
                 break
             work = quo
             found[cand] = found.get(cand, 0) + 1
     return sorted(found.items()), work
-
-
-def _numeric_integer_candidates(poly: IntPoly) -> list[int]:
-    coeffs = list(reversed(poly.coeffs))
-    if max(abs(c) for c in coeffs) > 1e300:
-        raise ValueError(
-            "constant term too large to enumerate divisors and coefficients "
-            "overflow float; pass an explicit root bound"
-        )
-    roots = np.roots([float(c) for c in coeffs])
-    cands: set[int] = set()
-    for r in roots:
-        if abs(r.imag) < 1.0:
-            base = int(round(r.real))
-            cands.update((base - 1, base, base + 1))
-    cands.discard(0)
-    return sorted(cands)
 
 
 @dataclass(frozen=True)

@@ -276,6 +276,19 @@ def distances(g: Graph) -> np.ndarray:
     return dist
 
 
+def _reachable(support: np.ndarray, source: int) -> np.ndarray:
+    """Boolean mask of the indices reachable from ``source`` along the
+    nonzero entries of a square boolean support matrix (source included)."""
+    comp = np.zeros(support.shape[0], dtype=bool)
+    comp[source] = True
+    frontier = comp.copy()
+    while frontier.any():
+        nxt = support[frontier].any(axis=0) & ~comp
+        comp |= nxt
+        frontier = nxt
+    return comp
+
+
 def connected_components(g: Graph) -> list[list[int]]:
     """Vertex-index components, each ascending, ordered by smallest index."""
     n = g.n_vertices
@@ -284,13 +297,7 @@ def connected_components(g: Graph) -> list[list[int]]:
     for s in range(n):
         if seen[s]:
             continue
-        comp = np.zeros(n, dtype=bool)
-        comp[s] = True
-        frontier = comp.copy()
-        while frontier.any():
-            nxt = g.adj[frontier].any(axis=0) & ~comp
-            comp |= nxt
-            frontier = nxt
+        comp = _reachable(g.adj, s)
         seen |= comp
         comps.append(np.nonzero(comp)[0].tolist())
     return comps

@@ -259,33 +259,35 @@ def energy_gap(arg, *, exact_cap: int = DEFAULT_EXACT_CAP) -> GapResult:
     """Absolute eccentricity-energy gap between a zero-divisor graph and its
     complement, with the family bound.
 
-    Accepts n for n = p1*p2 (two distinct primes; bound 3(p1+p2-2)^2) or
-    n = p^3 (bound 3(p^2-1)^2), or an explicit (p1, p2) pair.  Anything else
-    raises NotApplicableError.
+    Accepts n = p1*p2 for two distinct primes, or an explicit (p1, p2) pair
+    (theorem 6.3), or n = p^3 (theorem 6.4).  The hypotheses, the graph and
+    the bound are those of ``CLAIMS["6.3"]`` and ``CLAIMS["6.4"]``.  Anything
+    else raises NotApplicableError.
     """
+    from zdgecc.claims import CLAIMS  # claims imports this module
+
     if isinstance(arg, tuple):
         p1, p2 = arg
-        n = p1 * p2
-        fac = factorize(n)
-        if fac.factors != tuple(sorted([(p1, 1), (p2, 1)])) or p1 == p2:
-            raise NotApplicableError(f"({p1}, {p2}) is not a pair of distinct primes")
-        bound = 3 * (p1 + p2 - 2) ** 2
+        claim_id, params = "6.3", {"p1": p1, "p2": p2}
     else:
-        n = int(arg)
-        fac = factorize(n)
-        if len(fac.factors) == 2 and all(a == 1 for _, a in fac.factors):
-            p1, p2 = (p for p, _ in fac.factors)
-            bound = 3 * (p1 + p2 - 2) ** 2
-        elif len(fac.factors) == 1 and fac.factors[0][1] == 3:
-            p = fac.factors[0][0]
-            bound = 3 * (p * p - 1) ** 2
+        fac = factorize(int(arg)).factors
+        primes, exponents = [p for p, _ in fac], [a for _, a in fac]
+        if exponents == [1, 1]:
+            claim_id, params = "6.3", {"p1": primes[0], "p2": primes[1]}
+        elif exponents == [3]:
+            claim_id, params = "6.4", {"p": primes[0]}
         else:
             raise NotApplicableError(
-                f"n = {n} is neither a product of two distinct primes nor a prime cube"
+                f"n = {arg} is neither a product of two distinct primes nor a prime cube"
             )
-    g = graphs.build_zdg(n)
+    claim = CLAIMS[claim_id]
+    ok, why = claim.applicable(params)
+    if not ok:
+        raise NotApplicableError(f"{arg!r}: theorem {claim_id} {why}")
+    g = claim.graph(claim.ring(params))
     e_g = spectrum(eccentricity_matrix(g), "auto", exact_cap=exact_cap).energy()
     gc = graphs.complement(g)
     e_gc = spectrum(eccentricity_matrix(gc), "auto", exact_cap=exact_cap).energy()
     gap = abs(e_g - e_gc)
+    bound = claim.payload(params)
     return GapResult(gap=gap, bound=float(bound), within_bound=gap <= bound)

@@ -1,4 +1,6 @@
 import json
+import math
+from argparse import Namespace
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,7 @@ from zdgecc.claims import (
     claimed_spectrum,
     source,
 )
-from zdgecc.number_theory import primes_up_to
+from zdgecc.number_theory import is_prime, primes_up_to
 
 
 def entries(spec):
@@ -308,3 +310,24 @@ def test_claim_registry():
 def test_unknown_claim():
     with pytest.raises(ValueError):
         audit("9.9", {"p": 3})
+
+
+@pytest.mark.parametrize("max_power", [1, 3, 4, 8, 9, 30, 128, 1000, 1024])
+def test_prime_powers_sieve_only_to_isqrt(monkeypatch, max_power):
+    from zdgecc import claims
+
+    asked = []
+
+    def recording_sieve(n):
+        asked.append(n)
+        return primes_up_to(n)
+
+    monkeypatch.setattr(claims, "primes_up_to", recording_sieve)
+    points = claims.PRIME_POWER.enumerate(Namespace(max_power=max_power))
+    brute = [
+        {"p": p, "t": t}
+        for p in range(2, max_power + 1) if is_prime(p)
+        for t in range(2, max_power.bit_length() + 1) if p**t <= max_power
+    ]
+    assert points == brute
+    assert asked and max(asked) <= math.isqrt(max_power)

@@ -378,3 +378,20 @@ def test_survey_workers_clamped_to_cpu_count(monkeypatch):
     records = survey.run_survey(12, workers=cpus + 1)
     assert started == ([cpus] if cpus > 1 else [])
     assert records == survey.run_survey(12)
+
+
+@pytest.mark.parametrize(
+    "argv", [("spectrum", "--n", "12"), ("survey", "--max-n", "12", "--workers", "2")]
+)
+def test_out_of_memory_exits_3_without_traceback(capsys, monkeypatch, argv):
+    from zdgecc import survey
+
+    def exhausted(n, variant):
+        raise MemoryError("Unable to allocate 2.62 TiB for an array")
+
+    monkeypatch.setattr(survey, "variant_graph", exhausted)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "too large to build in memory" in err
+    assert "Traceback" not in err

@@ -126,14 +126,27 @@ def test_integer_roots_no_roots():
     assert residual == poly
 
 
+X2_MINUS_2 = IntPoly((-2, 0, 1))  # no integer root
+
+# (integer roots with multiplicities, residual factor, bound); without a
+# bound the search must still be exhaustive
+EXPANDED_PRODUCTS = [
+    ([(-2, 8), (6, 1), (10, 1)], IntPoly((1,)), 20),
+    ([(10, 25), (11, 25), (12, 25), (13, 25)], X2_MINUS_2, None),
+    ([(-999, 5), (1000, 5), (1001, 5)], X2_MINUS_2, None),
+    ([(-2, 100), (50, 20)], X2_MINUS_2, None),
+]
+
+
 def test_integer_roots_expanded_product():
-    prod = IntPoly((1,))
-    for _ in range(8):
-        prod = prod * IntPoly((2, 1))
-    prod = prod * IntPoly((-6, 1)) * IntPoly((-10, 1))
-    roots, residual = integer_roots(prod, bound=20)
-    assert roots == [(-2, 8), (6, 1), (10, 1)]
-    assert residual.coeffs == (1,)
+    for chosen, rest, bound in EXPANDED_PRODUCTS:
+        prod = rest
+        for root, mult in chosen:
+            for _ in range(mult):
+                prod = prod * IntPoly((-root, 1))
+        roots, residual = integer_roots(prod, bound=bound)
+        assert roots == chosen
+        assert residual == rest
 
 
 def test_integer_roots_residual_quadratic():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import brute_ecc_matrix, brute_zdg_edges
 from zdgecc.cli import main
 from zdgecc.eccentricity import eccentricity_matrix
+from zdgecc.exact_linalg import IntPoly, integer_roots
 from zdgecc.graphs import build_zdg
 from zdgecc.number_theory import is_prime
 
@@ -28,6 +29,20 @@ def test_zdg_and_eccentricity_matrix_match_oracles(n):
     edges = brute_zdg_edges(n)
     assert g.edge_set() == edges
     assert eccentricity_matrix(g).tolist() == brute_ecc_matrix(list(g.labels), edges)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(-60, 60), st.integers(1, 4)), max_size=6))
+def test_integer_roots_without_bound_return_the_chosen_roots(chosen):
+    no_real_root = IntPoly((1, 1, 1))  # x^2 + x + 1
+    poly, expected = no_real_root, {}
+    for root, mult in chosen:
+        for _ in range(mult):
+            poly = poly * IntPoly((-root, 1))
+        expected[root] = expected.get(root, 0) + mult
+    roots, residual = integer_roots(poly)
+    assert roots == sorted(expected.items())
+    assert residual == no_real_root
 
 
 # Malformed argv grammar: each option may be missing or take a valid,

@@ -271,6 +271,26 @@ def test_energy_gap_not_applicable():
         energy_gap((4, 6))
     with pytest.raises(NotApplicableError):
         energy_gap(16)
+    with pytest.raises(NotApplicableError):
+        energy_gap((5, 5))
+
+
+@pytest.mark.parametrize(
+    "arg, claim_id, params",
+    [
+        ((p1, p2), "6.3", {"p1": p1, "p2": p2})
+        for p1, p2 in ((2, 3), (2, 5), (2, 7), (3, 5), (3, 7), (5, 7))
+    ]
+    + [(p**3, "6.4", {"p": p}) for p in (2, 3, 5, 7)],
+)
+def test_energy_gap_agrees_with_audit_evidence(arg, claim_id, params):
+    from zdgecc.claims import audit
+    from zdgecc.report import fmt_value
+
+    res = energy_gap(arg)
+    evidence = audit(claim_id, params).evidence
+    assert fmt_value(res.bound) == evidence["bound"]
+    assert fmt_value(res.gap) == evidence["gap"]
 
 
 # ---------------------------------------------------------------------------
