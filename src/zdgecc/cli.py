@@ -164,7 +164,7 @@ def cmd_audit(args) -> int:
 
 def cmd_survey(args) -> int:
     cache_dir = None
-    if args.cache:
+    if args.cache or args.cache_dir:
         cache_dir = args.cache_dir or os.environ.get("ZDG_CACHE_DIR") or ".zdgecc-cache"
     try:
         records = survey.run_survey(
@@ -198,6 +198,13 @@ def _tolerance(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value >= 0):
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
     return value
 
 
@@ -242,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="explicit prime list, e.g. 3,5,7")
     p_audit.add_argument("--max-n", type=int, default=100,
                          help="modulus range for the tree-structure audits")
-    p_audit.add_argument("--max-power", type=int, default=128,
-                         help="largest p^t for the prime-power audits")
+    p_audit.add_argument("--max-power", type=_nonnegative_int, default=128,
+                         help="largest p^t (>= 0) for the prime-power audits")
     p_audit.add_argument("--tol", type=_tolerance, default=1e-7,
                          help="absolute tolerance (finite, >= 0) for claimed values")
     p_audit.add_argument("--expect-refutations", metavar="SPEC",
@@ -260,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="graph flags only; skip spectra and integrality")
     p_survey.add_argument("--cache", action="store_true",
                           help="cache records on disk (see ZDG_CACHE_DIR)")
-    p_survey.add_argument("--cache-dir")
+    p_survey.add_argument("--cache-dir", help="cache records here (implies --cache)")
     cluster_tol(p_survey)
     common(p_survey)
     p_survey.set_defaults(func=cmd_survey)

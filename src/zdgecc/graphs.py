@@ -18,6 +18,7 @@ from zdgecc.number_theory import (
     DivisorClass,
     class_graph_kind,
     divisor_class,
+    euler_phi,
     factorize,
     is_prime,
     proper_divisors,
@@ -107,6 +108,10 @@ def complete_graph(labels) -> Graph:
 def _zero_divisor_labels(n: int) -> np.ndarray:
     if n < 4 or is_prime(n):
         raise EmptyGraphError(f"Z_{n} has no nonzero zero divisors")
+    order = n - euler_phi(n) - 1
+    # past intp, numpy raises ValueError or OverflowError, not MemoryError
+    if order * order > np.iinfo(np.intp).max:
+        raise MemoryError(f"a {order} x {order} adjacency exceeds numpy's index range")
     elems = np.arange(1, n, dtype=np.int64)
     return elems[np.gcd(elems, n) != 1]
 

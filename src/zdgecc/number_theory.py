@@ -1,8 +1,9 @@
 """Integer arithmetic behind the divisor-class decomposition of Z_n.
 
-Everything here is deterministic and pure: factorization by trial division
-(desk scale), Euler's totient from the factorization, and the partition of
-the nonzero zero divisors of Z_n into gcd classes.
+Everything here is deterministic and pure: factorization, primality,
+Euler's totient and divisors from ``sympy.ntheory`` (so huge n does not
+hang), and the partition of the nonzero zero divisors of Z_n into gcd
+classes.  Every result is a plain Python int.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+from sympy import divisor_count, divisors, factorint, isprime, totient
 
 
 class ClassKind(enum.Enum):
@@ -58,29 +61,14 @@ class DivisorClass:
 
 @lru_cache(maxsize=None)
 def factorize(n: int) -> Factorization:
-    """Factor n >= 2 by trial division up to sqrt(n)."""
+    """Factor n >= 2."""
     if n < 2:
         raise ValueError(f"factorize requires n >= 2, got {n}")
-    m = n
-    factors = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            a = 0
-            while m % p == 0:
-                m //= p
-                a += 1
-            factors.append((p, a))
-        p += 1 if p == 2 else 2
-    if m > 1:
-        factors.append((m, 1))
-    return Factorization(n, tuple(factors))
+    return Factorization(n, tuple(sorted(factorint(n).items())))
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return factorize(n).factors == ((n, 1),)
+    return isprime(n)
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -96,32 +84,24 @@ def primes_up_to(limit: int) -> list[int]:
 
 
 def euler_phi(n: int) -> int:
-    """Euler's totient, computed from the factorization; phi(1) = 1."""
+    """Euler's totient; phi(1) = 1."""
     if n < 1:
         raise ValueError(f"euler_phi requires n >= 1, got {n}")
-    if n == 1:
-        return 1
-    result = n
-    for p, _ in factorize(n).factors:
-        result = result // p * (p - 1)
-    return result
+    return int(totient(n))
 
 
 def proper_divisors(n: int) -> list[int]:
     """Divisors d of n with 1 < d < n, ascending."""
     if n < 2:
         raise ValueError(f"proper_divisors requires n >= 2, got {n}")
-    small = [d for d in range(2, math.isqrt(n) + 1) if n % d == 0]
-    large = [n // d for d in reversed(small) if d * d != n]
-    return small + large
+    return divisors(n)[1:-1]
 
 
 def num_proper_divisors(n: int) -> int:
     """s(n) = prod(a_i + 1) - 2, the number of proper divisors."""
-    count = 1
-    for _, a in factorize(n).factors:
-        count *= a + 1
-    return count - 2
+    if n < 2:
+        raise ValueError(f"num_proper_divisors requires n >= 2, got {n}")
+    return int(divisor_count(n)) - 2
 
 
 def divisor_class(n: int, d: int) -> DivisorClass:

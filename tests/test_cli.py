@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import zdgecc
 from zdgecc.cli import main
 
 
@@ -395,3 +400,55 @@ def test_out_of_memory_exits_3_without_traceback(capsys, monkeypatch, argv):
     assert out == ""
     assert "too large to build in memory" in err
     assert "Traceback" not in err
+
+
+def test_max_power_must_be_non_negative(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--theorem", "5.1", "--max-power", "-1"])
+    assert exc.value.code == 2
+    assert "--max-power" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--n", str(2**62), "--variant", "extended"),
+        ("spectrum", "--n", str(2**63)),
+    ],
+)
+def test_modulus_beyond_numpy_index_range_exits_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "too large to build in memory" in err
+    assert "Traceback" not in err
+
+
+def test_survey_cache_dir_turns_caching_on(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    code, out, err = run(capsys, "survey", "--max-n", "12", "--cache-dir", str(cache))
+    assert code == 0, err
+    assert len(list(cache.glob("*.json"))) == len(json.loads(out)["items"])
+
+
+def _cli_subprocess(*argv):
+    """Run the CLI in a child interpreter; a hang fails the test by timeout."""
+    src = str(Path(zdgecc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "zdgecc.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+
+
+def test_spectrum_huge_prime_power_compressed():
+    proc = _cli_subprocess("spectrum", "--n", str(2**70), "--variant", "compressed")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["items"][0]["vertices"] == 69
+
+
+def test_spectrum_huge_prime_exit_2():
+    proc = _cli_subprocess("spectrum", "--n", str(10**39 + 3))
+    assert proc.returncode == 2
+    assert "zero divisors" in proc.stderr

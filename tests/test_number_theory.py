@@ -106,3 +106,27 @@ def test_partition_and_cardinality_up_to_2000():
         zero_divisors = {k for k in range(1, n) if math.gcd(k, n) != 1}
         assert union == zero_divisors
         assert total == n - euler_phi(n) - 1
+
+
+def test_huge_moduli_in_plain_ints():
+    # far beyond trial division up to sqrt(n)
+    divs = proper_divisors(2**70)
+    assert divs == [2**k for k in range(1, 70)]
+    assert num_proper_divisors(10**12) == 167
+    assert euler_phi(2**70) == 2**69
+    assert is_prime(10**39 + 3) is True
+    assert factorize(10**12).factors == ((2, 12), (5, 12))
+    flat = [x for pair in factorize(10**12).factors for x in pair]
+    results = [*divs, num_proper_divisors(10**12), euler_phi(2**70), *flat]
+    assert all(type(x) is int for x in results)
+
+
+def test_below_two_domain():
+    for n in (1, 0, -7):
+        assert is_prime(n) is False
+        with pytest.raises(ValueError):
+            proper_divisors(n)
+        with pytest.raises(ValueError):
+            num_proper_divisors(n)
+    with pytest.raises(ValueError):
+        euler_phi(0)
