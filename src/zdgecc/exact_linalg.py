@@ -1,7 +1,7 @@
 """Exact integer/rational dense linear algebra.
 
 Arbitrary-precision throughout: characteristic polynomials of integer
-matrices, exact determinants, integer-root extraction with deflation, and
+matrices, exact determinants, integer roots and certified real roots, and
 the block-matrix determinant identities (Schur complement, coronel of a
 matrix, all-ones shifts, rank-one adjugate perturbations) used to derive
 closed-form eccentricity spectra.
@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from sympy import ZZ, integer_nthroot
+from sympy import ZZ, Poly, Symbol, integer_nthroot
 from sympy.polys.matrices import DomainMatrix
 
 RatMatrix = list[list[Fraction]]
@@ -196,6 +196,46 @@ def integer_roots(
             work = quo
             found[cand] = found.get(cand, 0) + 1
     return sorted(found.items()), work
+
+
+def _sign_at(desc: list[int], num: int, den: int) -> int:
+    """Sign at num / den (den > 0) of the polynomial with descending coefficients desc."""
+    acc, scale = desc[0], 1
+    for c in desc[1:]:
+        scale *= den
+        acc = acc * num + c * scale
+    return (acc > 0) - (acc < 0)
+
+
+def real_roots(poly: IntPoly) -> list[tuple[float, int]]:
+    """Ascending real roots, with exact multiplicities, of a monic integer
+    polynomial with no rational root, such as the ``integer_roots`` residual.
+
+    Multiplicities come from sympy's ``sqf_list``.  Each root of a square-free
+    part is isolated by ``Poly.intervals`` and bisected with exact integer
+    sign tests (no midpoint is a root) to width <= 1e-13 before rounding.
+    A part with fewer real roots than its degree raises ArithmeticError.
+    """
+    _, parts = Poly(list(reversed(poly.coeffs)), Symbol("x")).sqf_list()
+    out = []
+    for part, mult in parts:
+        desc = [int(c) for c in part.all_coeffs()]
+        intervals = part.intervals(sqf=True)
+        if len(intervals) != part.degree():
+            raise ArithmeticError(f"{part.as_expr()} has a non-real root")
+        for a, b in intervals:
+            den = int(a.q) * int(b.q)
+            lo, hi = int(a.p) * int(b.q), int(b.p) * int(a.q)
+            sign_lo = _sign_at(desc, lo, den)
+            while (hi - lo) * 10**13 > den:
+                lo, hi, den = 2 * lo, 2 * hi, 2 * den
+                mid = (lo + hi) // 2
+                if _sign_at(desc, mid, den) == sign_lo:
+                    lo = mid
+                else:
+                    hi = mid
+            out.append((float(Fraction(lo + hi, 2 * den)), mult))
+    return sorted(out)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,13 +117,25 @@ def _zero_divisor_labels(n: int) -> np.ndarray:
     return elems[np.gcd(elems, n) != 1]
 
 
-def build_zdg(n: int) -> Graph:
-    """Zero-divisor graph of Z_n: u ~ v iff u*v = 0 (mod n)."""
+def _class_adjacency(divs: list[int], m: int) -> np.ndarray:
+    """m | d*e for each pair of divisors, as (m // gcd(d, m)) | e in Python ints."""
+    need = [m // math.gcd(d, m) for d in divs]
+    return np.array([[e % q == 0 for e in divs] for q in need], dtype=bool)
+
+
+def _gcd_class_graph(n: int, m: int) -> Graph:
+    """u ~ v iff m | u*v, for m | n; that holds iff m | gcd(u, n) * gcd(v, n),
+    so it is decided once per pair of gcd classes and expanded to vertices."""
     labels = _zero_divisor_labels(n)
-    prod = np.outer(labels, labels) % n
-    adj = prod == 0
+    divs, cls = np.unique(np.gcd(labels, n), return_inverse=True)
+    adj = _class_adjacency(divs.tolist(), m)[np.ix_(cls, cls)]
     np.fill_diagonal(adj, False)
     return Graph(labels, adj)
+
+
+def build_zdg(n: int) -> Graph:
+    """Zero-divisor graph of Z_n: u ~ v iff u*v = 0 (mod n)."""
+    return _gcd_class_graph(n, n)
 
 
 def build_extended_zdg(n: int) -> Graph:
@@ -133,12 +146,7 @@ def build_extended_zdg(n: int) -> Graph:
     some (a, b) clears every prime of n exactly when the radical of n
     divides u*v.
     """
-    labels = _zero_divisor_labels(n)
-    rad = factorize(n).radical
-    prod = np.outer(labels, labels) % rad
-    adj = prod == 0
-    np.fill_diagonal(adj, False)
-    return Graph(labels, adj)
+    return _gcd_class_graph(n, factorize(n).radical)
 
 
 def build_compressed_zdg(n: int) -> Graph:
@@ -160,17 +168,11 @@ def build_zdg_zpzp(p: int) -> Graph:
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    side = [(a, 0) for a in range(1, p)] + [(0, b) for b in range(1, p)]
-    labels = [a if b == 0 else p + b for a, b in side]
-    m = len(side)
-    adj = np.zeros((m, m), dtype=bool)
-    for i in range(m):
-        for j in range(i + 1, m):
-            ai, bi = side[i]
-            aj, bj = side[j]
-            if (ai * aj) % p == 0 and (bi * bj) % p == 0:
-                adj[i, j] = adj[j, i] = True
-    return Graph(labels, adj)
+    m = p - 1
+    adj = np.zeros((2 * m, 2 * m), dtype=bool)
+    adj[:m, m:] = True
+    adj[m:, :m] = True
+    return Graph([*range(1, p), *range(p + 1, 2 * p)], adj)
 
 
 def complement(g: Graph) -> Graph:
@@ -184,12 +186,8 @@ def upsilon(n: int) -> Graph:
     if n < 4 or is_prime(n):
         raise EmptyGraphError(f"Z_{n} has no proper divisor skeleton")
     divs = proper_divisors(n)
-    k = len(divs)
-    adj = np.zeros((k, k), dtype=bool)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if (divs[i] * divs[j]) % n == 0:
-                adj[i, j] = adj[j, i] = True
+    adj = _class_adjacency(divs, n)
+    np.fill_diagonal(adj, False)
     return Graph(divs, adj)
 
 

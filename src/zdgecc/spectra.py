@@ -2,21 +2,21 @@
 check, multiplicity clustering, energy, spectral radius, and the energy gap
 between a graph and its complement.
 
-Exact mode factors the characteristic polynomial over the integers (root
-search bounded by the maximum absolute row sum, hence exhaustive) and tags
-only the non-integer residual eigenvalues as floats.
+Exact mode reads every eigenvalue from the characteristic polynomial alone
+(no eigensolver, no clustering): the integer roots exactly, the irrational
+ones as certified real roots with exact multiplicities, rounded to floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from zdgecc import graphs
 from zdgecc.eccentricity import eccentricity_matrix
-from zdgecc.exact_linalg import IntegralityCertificate, integrality_certificate
+from zdgecc.exact_linalg import IntegralityCertificate, integrality_certificate, real_roots
 from zdgecc.number_theory import factorize
 
 DEFAULT_EXACT_CAP = 150
@@ -196,9 +196,9 @@ def spectrum(
     """Spectrum of a symmetric integer matrix.
 
     mode "float": eigenvalues_symmetric values clustered at cluster_tol.
-    mode "exact": integer eigenvalues extracted exactly from the
-    characteristic polynomial; residual (irrational) eigenvalues are the
-    leftover eigenvalues_symmetric values, tagged as floats; the
+    mode "exact": integer roots of the exact characteristic polynomial as
+    exact entries, the certified roots of its residual (``real_roots``) as
+    floats with exact multiplicities, cluster_tol unused; the
     factorization is kept as the result's ``certificate``.  Raises OversizeError above exact_cap.
     mode "auto" picks "exact" when the order allows it.
     """
@@ -217,25 +217,10 @@ def spectrum(
     if n > exact_cap:
         raise OversizeError(f"order {n} exceeds exact cap {exact_cap}")
     cert = integrality_certificate(arr)
-    floats = eigenvalues_symmetric(arr)
-    remaining = list(floats)
-    for root, mult in cert.roots:
-        for _ in range(mult):
-            idx = min(range(len(remaining)), key=lambda i: abs(remaining[i] - root))
-            if abs(remaining[idx] - root) > 1e-6:
-                raise ArithmeticError(
-                    f"exact root {root} has no matching float eigenvalue "
-                    f"(nearest {remaining[idx]!r})"
-                )
-            remaining.pop(idx)
-    if len(remaining) != cert.residual.degree:
-        raise ArithmeticError(
-            f"residual degree {cert.residual.degree} but {len(remaining)} float "
-            "eigenvalues left unmatched"
-        )
-    pairs: list[tuple[object, int, bool]] = [(r, m, True) for r, m in cert.roots]
-    pairs.extend((v, m, False) for v, m in _cluster(sorted(remaining), cluster_tol))
-    return replace(Spectrum.from_pairs(pairs, cluster_tol=cluster_tol), certificate=cert)
+    entries = [SpectrumEntry(Fraction(r), m, True) for r, m in cert.roots]
+    entries.extend(SpectrumEntry(v, m, False) for v, m in real_roots(cert.residual))
+    entries.sort(key=lambda e: e.float_value)
+    return Spectrum(tuple(entries), certificate=cert)
 
 
 def energy(spec: Spectrum) -> float:

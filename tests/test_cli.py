@@ -452,3 +452,33 @@ def test_spectrum_huge_prime_exit_2():
     proc = _cli_subprocess("spectrum", "--n", str(10**39 + 3))
     assert proc.returncode == 2
     assert "zero divisors" in proc.stderr
+
+
+def test_exact_spectrum_does_not_depend_on_cluster_tol(capsys):
+    base = run_json(capsys, "spectrum", "--n", "27", "--method", "exact")
+    wide = run_json(
+        capsys, "spectrum", "--n", "27", "--method", "exact", "--cluster-tol", "20"
+    )
+    irrational = [e for e in wide["items"][0]["spectrum"] if not e["exact"]]
+    assert irrational == [
+        {"value": "-0.1789083458", "exact": False, "multiplicity": 1},
+        {"value": "11.1789083458", "exact": False, "multiplicity": 1},
+    ]
+    assert wide["items"][0]["energy"] == "22.3578166916"
+    del base["command"], wide["command"]
+    assert wide == base
+
+
+def test_exact_audit_runs_without_eigensolver(capsys, monkeypatch):
+    from zdgecc import spectra
+
+    def boom(*args, **kwargs):
+        raise AssertionError("eigensolver called in exact mode")
+
+    monkeypatch.setattr(spectra, "eigenvalues_symmetric", boom)
+    code, out, err = run(
+        capsys, "audit", "--theorem", "3.2", "--primes", "3",
+        "--expect-refutations", "3.2:p=3",
+    )
+    assert code == 0, err
+    assert json.loads(out)["refutations"] == ["3.2:p=3"]

@@ -17,6 +17,7 @@ from zdgecc.exact_linalg import (
     determinant,
     integer_roots,
     is_integral_spectrum,
+    real_roots,
     schur_complement,
     schur_det_check,
 )
@@ -332,3 +333,25 @@ def test_poly_text():
     assert IntPoly((1, 0, 2)).text() == "1 + 2*x^2"
     assert IntPoly((0, -1)).text() == "-x"
     assert IntPoly((5,)).text() == "5"
+
+
+# ---------------------------------------------------------------------------
+# certified real roots
+
+
+def test_real_roots_multiplicities_from_square_free_parts():
+    x2_minus_2 = IntPoly((-2, 0, 1))
+    poly = x2_minus_2 * x2_minus_2 * x2_minus_2 * IntPoly((-3, 0, 1))
+    roots = real_roots(poly)
+    assert [m for _, m in roots] == [1, 3, 3, 1]
+    expected = [-3**0.5, -2**0.5, 2**0.5, 3**0.5]
+    assert all(abs(v - e) < 1e-13 for (v, _), e in zip(roots, expected))
+
+
+def test_real_roots_reject_a_non_real_root():
+    with pytest.raises(ArithmeticError):
+        real_roots(IntPoly((1, 0, 1)))
+
+
+def test_real_roots_of_a_constant():
+    assert real_roots(IntPoly((1,))) == []

@@ -322,3 +322,33 @@ def test_adjacency_text():
 def test_connectivity():
     assert is_connected(build_zdg(30))
     assert not is_connected(complement(build_zdg(35)))
+
+
+# ---------------------------------------------------------------------------
+# class-level adjacency
+
+
+def test_class_adjacency_does_not_overflow_int64():
+    from zdgecc.graphs import _class_adjacency
+
+    # u = v = (p - 1) * p is a zero divisor of Z_{p^2} and u * v = 0 there,
+    # but u * u wraps in int64 (p^2 itself still fits)
+    p = 3037000493
+    assert is_prime(p) and p * p < 2**63 <= ((p - 1) * p) ** 2
+    assert _class_adjacency([p], p * p)[0, 0]
+    assert not _class_adjacency([p], p * p * p)[0, 0]
+
+
+def test_dense_build_allocates_only_boolean_vxv():
+    import tracemalloc
+
+    n = 4096
+    order = n - euler_phi(n) - 1
+    tracemalloc.start()
+    try:
+        g = build_zdg(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n_vertices == order
+    assert peak < 3 * order * order

@@ -307,3 +307,41 @@ def test_spectrum_requires_increasing():
 
     with pytest.raises(ValueError):
         Spectrum((SpectrumEntry(Fraction(2), 1, True), SpectrumEntry(Fraction(1), 1, True)))
+
+
+# ---------------------------------------------------------------------------
+# exact mode is read from the polynomial alone
+
+
+def test_exact_spectrum_runs_no_eigensolver(monkeypatch):
+    from zdgecc import spectra
+
+    def boom(*args, **kwargs):
+        raise AssertionError("eigensolver called in exact mode")
+
+    monkeypatch.setattr(spectra, "eigenvalues_symmetric", boom)
+    spec = spectrum(ecc(27), "exact")
+    assert [e.multiplicity for e in spec.entries] == [5, 1, 1, 1]
+    assert all(e.tol is None for e in spec.entries)
+
+
+def test_exact_spectrum_ignores_cluster_tol():
+    assert spectrum(ecc(27), "exact", cluster_tol=20) == spectrum(ecc(27), "exact")
+
+
+def test_exact_and_float_spectra_agree_for_every_variant():
+    from zdgecc.survey import VARIANTS, variant_graph
+
+    for variant in VARIANTS:
+        for n in range(4, 61):
+            if is_prime(n):
+                continue
+            mat = eccentricity_matrix(variant_graph(n, variant))
+            exact = spectrum(mat, "exact")
+            flt = spectrum(mat, "float")
+            assert [e.multiplicity for e in exact.entries] == [
+                e.multiplicity for e in flt.entries
+            ], (n, variant)
+            for a, b in zip(exact.entries, flt.entries):
+                x = a.float_value
+                assert abs(x - b.float_value) <= 1e-9 * max(1.0, abs(x)), (n, variant)
