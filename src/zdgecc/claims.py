@@ -19,6 +19,7 @@ mismatch itself.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -112,8 +113,15 @@ def _composites(args) -> list[dict]:
     return [{"n": n} for n in range(4, args.max_n + 1) if not is_prime(n)]
 
 
+@functools.lru_cache(maxsize=None)
+def _tree_ns(max_n: int) -> tuple[int, ...]:
+    """Composite n <= max_n whose zero-divisor graph is a tree; theorems 4.1
+    and 4.2 enumerate the same moduli, so each graph is built once."""
+    return tuple(n for n in range(4, max_n + 1) if not is_prime(n) and is_tree(build_zdg(n)))
+
+
 def _tree_moduli(args) -> list[dict]:
-    return [q for q in _composites(args) if is_tree(build_zdg(q["n"]))]
+    return [{"n": n} for n in _tree_ns(args.max_n)]
 
 
 _IS_PRIME = (lambda q: is_prime(q.get("p")), "requires a prime")

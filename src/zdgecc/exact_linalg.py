@@ -9,10 +9,15 @@ closed-form eccentricity spectra.
 The characteristic polynomial is delegated to sympy's DomainMatrix over ZZ
 (division-free Berkowitz); determinants, inverses and the identity checks
 are implemented here independently, so the two routes cross-validate.
+``integrality_certificate`` runs it only on the twin quotient of a matrix
+(``twin_partition``): twin blocks form an equitable partition whose
+``k x k`` quotient carries every eigenvalue but the ``(x - d + c)^(m-1)``
+factors of the blocks (Godsil and Royle, *Algebraic Graph Theory*, ch. 9).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -264,20 +269,88 @@ class IntegralityCertificate:
         return " * ".join(parts) if parts else "1"
 
 
+def _integer_matrix(mat) -> np.ndarray:
+    """The square matrix as int64; a non-integer entry raises ValueError
+    before anything is truncated."""
+    arr = np.asarray(mat)
+    n = arr.shape[0] if arr.ndim else -1
+    if arr.shape != (n, n):
+        raise ValueError("matrix must be square")
+    if arr.dtype.kind not in "bi":
+        for v in arr.ravel().tolist():
+            if int(v) != v:
+                raise ValueError(f"non-integer entry {v!r}")
+    return arr.astype(np.int64)
+
+
+def twin_partition(mat) -> tuple[tuple[int, ...], ...]:
+    """Twin blocks of a symmetric integer matrix, singletons included,
+    ordered by smallest index.
+
+    For each distinct entry value c, rows whose keys (the row with its
+    diagonal entry set to c, plus that diagonal entry) are equal are mutual
+    twins.  If key_i == key_j then M[i, j] = key_i[j] = key_j[j] = c,
+    M[i, i] = M[j, j], and M[i, l] = M[j, l] for every other l.  So a block
+    is c(J - I) + dI, and every block-to-block submatrix is constant: the
+    partition is equitable.  A row joins at most one block: twins i ~ j at
+    c and i ~ k at c' give c' = M[i, k] = M[j, k] and c = M[i, j] = M[k, j],
+    so c = c' by symmetry.
+    """
+    arr = np.asarray(mat)
+    diag = np.diagonal(arr)
+    head = np.arange(arr.shape[0])  # smallest index of each row's block
+    for c in np.unique(arr):
+        key = arr.copy()
+        np.fill_diagonal(key, c)
+        _, inverse, counts = np.unique(
+            np.column_stack([key, diag]), axis=0, return_inverse=True, return_counts=True
+        )
+        inverse = inverse.reshape(-1)
+        for group in np.flatnonzero(counts > 1):
+            rows = np.flatnonzero(inverse == group)
+            head[rows] = rows[0]
+    blocks: dict[int, list[int]] = {}
+    for i, h in enumerate(head.tolist()):
+        blocks.setdefault(h, []).append(i)
+    return tuple(tuple(b) for b in blocks.values())
+
+
+def _power_of_linear(root: int, m: int) -> IntPoly:
+    """(x - root)^m, expanded with binomial coefficients."""
+    return IntPoly(tuple(math.comb(m, k) * (-root) ** (m - k) for k in range(m + 1)))
+
+
 def integrality_certificate(mat) -> IntegralityCertificate:
     """Factor the exact characteristic polynomial of a symmetric integer matrix.
 
-    The polynomial is computed once.  The root search is exhaustive: all
-    eigenvalues of a symmetric matrix lie within the maximum absolute row
-    sum, which bounds the candidate integers.
+    The polynomial is computed once, on the twin quotient: with the blocks
+    of ``twin_partition`` as an equitable partition, det(xI - M) is
+    det(xI - Q) times (x - d_A + c_A)^(|A| - 1) for each block A with
+    off-diagonal entry c_A and diagonal entry d_A, where Q is the block
+    row-sum matrix (a matrix without twins is its own quotient).  The root
+    search is exhaustive: all eigenvalues of a symmetric matrix lie within
+    the maximum absolute row sum, which bounds the candidate integers.
     """
-    poly = char_poly(mat)  # rejects non-integer entries before the cast below
-    arr = np.asarray(mat, dtype=np.int64)
+    arr = _integer_matrix(mat)
     if not np.array_equal(arr, arr.T):
         raise ValueError("integrality test expects a symmetric integer matrix")
     bound = int(np.abs(arr).sum(axis=1).max()) if arr.size else 0
-    roots, residual = integer_roots(poly, bound=bound)
-    return IntegralityCertificate(tuple(roots), residual, poly)
+    blocks = twin_partition(arr)
+    indicator = np.zeros((arr.shape[0], len(blocks)), dtype=np.int64)
+    twins: dict[int, int] = {}
+    for a, block in enumerate(blocks):
+        indicator[list(block), a] = 1
+        if len(block) > 1:
+            root = int(arr[block[0], block[0]] - arr[block[0], block[1]])
+            twins[root] = twins.get(root, 0) + len(block) - 1
+    quotient_poly = char_poly(arr[[b[0] for b in blocks]] @ indicator)
+    roots, residual = integer_roots(quotient_poly, bound=bound)
+    found = dict(roots)
+    poly = quotient_poly
+    for root, mult in sorted(twins.items()):
+        found[root] = found.get(root, 0) + mult
+        poly = poly * _power_of_linear(root, mult)
+    return IntegralityCertificate(tuple(sorted(found.items())), residual, poly)
 
 
 def is_integral_spectrum(mat) -> tuple[bool, IntegralityCertificate]:

@@ -454,6 +454,22 @@ def test_spectrum_huge_prime_exit_2():
     assert "zero divisors" in proc.stderr
 
 
+def test_exact_spectrum_of_511_vertices_from_the_twin_quotient():
+    import numpy as np
+
+    from zdgecc.eccentricity import eccentricity_matrix
+    from zdgecc.graphs import build_zdg
+
+    proc = _cli_subprocess("spectrum", "--n", "1024", "--method", "exact", "--exact-cap", "600")
+    assert proc.returncode == 0, proc.stderr
+    item = json.loads(proc.stdout)["items"][0]
+    assert item["vertices"] == 511
+    got = [float(e["value"]) for e in item["spectrum"] for _ in range(e["multiplicity"])]
+    want = np.linalg.eigvalsh(eccentricity_matrix(build_zdg(1024)).astype(float))
+    # values are reported to 12 significant digits, so the bound is relative
+    assert (np.abs(np.array(got) - want) <= 1e-9 * np.maximum(1.0, np.abs(want))).all()
+
+
 def test_exact_spectrum_does_not_depend_on_cluster_tol(capsys):
     base = run_json(capsys, "spectrum", "--n", "27", "--method", "exact")
     wide = run_json(

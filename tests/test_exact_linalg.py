@@ -16,6 +16,7 @@ from zdgecc.exact_linalg import (
     det_shifted_J,
     determinant,
     integer_roots,
+    integrality_certificate,
     is_integral_spectrum,
     real_roots,
     schur_complement,
@@ -208,6 +209,21 @@ def test_non_integral_z27():
     integral, cert = is_integral_spectrum(ecc(27))
     assert not integral
     assert cert.residual.coeffs == (-2, -11, 1)
+
+
+def test_integrality_certificate_rejects_non_integer_twins():
+    # rows 0-2 are twins, so the entries would vanish into the quotient's
+    # row sums if they were cast before the check
+    with pytest.raises(ValueError, match="non-integer"):
+        integrality_certificate([[0, 1.5, 1.5], [1.5, 0, 1.5], [1.5, 1.5, 0]])
+
+
+def test_integrality_certificate_factors_twin_blocks():
+    # K_4 with a doubled diagonal: one twin block, eigenvalue 2 - 1 three times
+    mat = np.ones((4, 4), dtype=np.int64) + np.eye(4, dtype=np.int64)
+    cert = integrality_certificate(mat)
+    assert cert.roots == ((1, 3), (5, 1))
+    assert cert.poly == char_poly(mat)
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,14 @@ import io
 import pytest
 
 pytest.importorskip("hypothesis")
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_ecc_matrix, brute_zdg_edges
 from zdgecc.cli import main
 from zdgecc.eccentricity import eccentricity_matrix
-from zdgecc.exact_linalg import IntPoly, integer_roots
+from zdgecc.exact_linalg import IntPoly, char_poly, integer_roots, integrality_certificate
 from zdgecc.graphs import build_zdg
 from zdgecc.number_theory import is_prime
 
@@ -43,6 +44,36 @@ def test_integer_roots_without_bound_return_the_chosen_roots(chosen):
     roots, residual = integer_roots(poly)
     assert roots == sorted(expected.items())
     assert residual == no_real_root
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric matrices of order <= 12, entries 0-3, zero diagonal, with up
+    to three planted twin blocks (a later block may break an earlier one)."""
+    n = draw(st.integers(1, 12))
+    m = np.zeros((n, n), dtype=np.int64)
+    m[np.triu_indices(n, 1)] = draw(
+        st.lists(st.integers(0, 3), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+    )
+    m = m + m.T
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        block = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True))
+        m[block, :] = m[block[0], :]
+        m[:, block] = m[:, [block[0]]]
+        m[np.ix_(block, block)] = draw(st.integers(0, 3))
+        np.fill_diagonal(m, 0)
+    return m
+
+
+@PROPERTY
+@given(symmetric_matrices())
+def test_integrality_certificate_matches_the_dense_route(m):
+    poly = char_poly(m)
+    roots, residual = integer_roots(poly, bound=int(m.sum(axis=1).max()))
+    cert = integrality_certificate(m)
+    assert cert.roots == tuple(roots)
+    assert cert.residual == residual
+    assert cert.poly == poly
 
 
 # Malformed argv grammar: each option may be missing or take a valid,
