@@ -96,12 +96,12 @@ def cmd_spectrum(args) -> int:
 
 def _parse_expected(raw: str, theorems: list[str]) -> set[str] | None:
     if os.path.isfile(raw):
-        text = Path(raw).read_text()
-        tokens = [
-            tok for line in text.replace(",", "\n").splitlines() if (tok := line.strip())
-        ]
-    else:
-        tokens = [tok.strip() for tok in raw.split(",") if tok.strip()]
+        try:
+            raw = ",".join(Path(raw).read_text().splitlines())
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"error: cannot read {raw}: {exc}", file=sys.stderr)
+            return None
+    tokens = [tok.strip() for tok in raw.split(",") if tok.strip()]
     out = set()
     for tok in tokens:
         if ":" not in tok:
@@ -179,6 +179,11 @@ def cmd_survey(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:
+        if cache_dir is None:
+            raise
+        print(f"error: cannot write cache {cache_dir}: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     # echo only payload-determining options so reports stay byte-identical
     # across worker counts and cache settings
     echo = (

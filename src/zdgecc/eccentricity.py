@@ -15,11 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from zdgecc.exact_linalg import EquitabilityError, _equitable_quotient
 from zdgecc.graphs import Graph, _reachable, distances
-
-
-class EquitabilityError(ValueError):
-    """Raised when a partition is not equitable for the given matrix."""
 
 
 @dataclass(frozen=True)
@@ -69,32 +66,16 @@ def is_irreducible(mat: np.ndarray) -> bool:
 
 
 def quotient_matrix(mat: np.ndarray, partition: Partition) -> list[list[Fraction]]:
-    """Block row-sum matrix of an equitable partition.
-
-    Raises EquitabilityError naming the offending block pair and rows when
-    some (block i, block j) submatrix has non-constant row sums.  Entries are
-    exact: integer matrices give integer-valued Fractions.
-    """
-    mat = np.asarray(mat)
-    n = mat.shape[0]
-    if partition.n_vertices != n:
+    """Block row-sum matrix of an equitable partition, as exact Fractions, from
+    the integrality certificate's quotient builder: EquitabilityError names the
+    offending block pair and rows when some (block i, block j) submatrix has
+    non-constant row sums, and a non-integer entry raises ValueError."""
+    if partition.n_vertices != len(mat):
         raise ValueError(
-            f"partition covers {partition.n_vertices} vertices, matrix has {n}"
+            f"partition covers {partition.n_vertices} vertices, matrix has {len(mat)}"
         )
-    k = len(partition.blocks)
-    out: list[list[Fraction]] = [[Fraction(0)] * k for _ in range(k)]
-    for i, bi in enumerate(partition.blocks):
-        for j, bj in enumerate(partition.blocks):
-            sums = mat[np.ix_(bi, bj)].sum(axis=1)
-            first = sums[0]
-            if not (sums == first).all():
-                bad = [int(bi[r]) for r in np.nonzero(sums != first)[0]]
-                raise EquitabilityError(
-                    f"blocks ({i}, {j}): rows {bad} have block sums "
-                    f"{sorted(set(int(s) for s in sums))}, expected constant"
-                )
-            out[i][j] = Fraction(int(first))
-    return out
+    quotient = _equitable_quotient(mat, partition.blocks)
+    return [[Fraction(v) for v in row] for row in quotient.tolist()]
 
 
 def divisor_class_partition(g: Graph, n: int) -> Partition:

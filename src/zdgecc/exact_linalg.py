@@ -9,10 +9,10 @@ closed-form eccentricity spectra.
 The characteristic polynomial is delegated to sympy's DomainMatrix over ZZ
 (division-free Berkowitz); determinants, inverses and the identity checks
 are implemented here independently, so the two routes cross-validate.
-``integrality_certificate`` runs it only on the twin quotient of a matrix
-(``twin_partition``): twin blocks form an equitable partition whose
-``k x k`` quotient carries every eigenvalue but the ``(x - d + c)^(m-1)``
-factors of the blocks (Godsil and Royle, *Algebraic Graph Theory*, ch. 9).
+``integrality_certificate`` runs it only on the twin quotient of a matrix:
+twin blocks (``twin_partition``) form an equitable partition, checked on every
+call, whose ``k x k`` quotient carries every eigenvalue but the block factors
+``(x - d + c)^(m-1)`` (Godsil and Royle, *Algebraic Graph Theory*, ch. 9).
 """
 
 from __future__ import annotations
@@ -35,6 +35,10 @@ class SingularBlockError(ValueError):
 
 class EvaluationAtEigenvalueError(ValueError):
     """xI - M is singular at the requested evaluation point."""
+
+
+class EquitabilityError(ValueError):
+    """Raised when a partition is not equitable for the given matrix."""
 
 
 @dataclass(frozen=True)
@@ -280,39 +284,51 @@ def _integer_matrix(mat) -> np.ndarray:
         for v in arr.ravel().tolist():
             if int(v) != v:
                 raise ValueError(f"non-integer entry {v!r}")
-    return arr.astype(np.int64)
+    return arr.astype(np.int64, copy=False)
 
 
 def twin_partition(mat) -> tuple[tuple[int, ...], ...]:
     """Twin blocks of a symmetric integer matrix, singletons included,
     ordered by smallest index.
 
-    For each distinct entry value c, rows whose keys (the row with its
-    diagonal entry set to c, plus that diagonal entry) are equal are mutual
-    twins.  If key_i == key_j then M[i, j] = key_i[j] = key_j[j] = c,
-    M[i, i] = M[j, j], and M[i, l] = M[j, l] for every other l.  So a block
-    is c(J - I) + dI, and every block-to-block submatrix is constant: the
-    partition is equitable.  A row joins at most one block: twins i ~ j at
-    c and i ~ k at c' give c' = M[i, k] = M[j, k] and c = M[i, j] = M[k, j],
-    so c = c' by symmetry.
+    Rows i != j are twins iff M[i, i] = M[j, j] = d and the rows agree in every
+    column but i and j, where they read (d, c) and (c, d), c = M[i, j]: iff the
+    diagonals match and A[i, j] = V - 2 [c != d], A = sum over distinct entries
+    v of (M == v)(M == v)^T counting agreeing columns (exact in float64).
+    Transitive: i ~ j and j ~ k give c = M[i, j] = M[k, i] = M[i, k] = M[j, k]
+    by symmetry, so rows i and k agree off {i, k}.  So a block is c(J - I) + dI
+    and every block-to-block submatrix is constant: the partition is equitable.
     """
     arr = np.asarray(mat)
-    diag = np.diagonal(arr)
-    head = np.arange(arr.shape[0])  # smallest index of each row's block
-    for c in np.unique(arr):
-        key = arr.copy()
-        np.fill_diagonal(key, c)
-        _, inverse, counts = np.unique(
-            np.column_stack([key, diag]), axis=0, return_inverse=True, return_counts=True
+    agree = np.zeros(arr.shape)
+    for v in np.unique(arr):
+        hits = (arr == v).astype(np.float64)
+        agree += hits @ hits.T
+    diag = np.diagonal(arr)[:, None]
+    twin = (agree == len(arr) - 2 * (arr != diag)) & (diag == diag.T)
+    heads = twin.argmax(axis=1) if len(arr) else []  # smallest twin, the row included
+    return tuple(tuple(np.flatnonzero(heads == h).tolist()) for h in np.unique(heads))
+
+
+def _equitable_quotient(mat, blocks) -> np.ndarray:
+    """Block row-sum matrix (int64) of an equitable partition of an integer
+    matrix, else EquitabilityError naming the first offending block pair."""
+    arr = _integer_matrix(mat)
+    owner = np.empty(len(arr), dtype=np.int64)  # block index of each row
+    for a, block in enumerate(blocks):
+        owner[list(block)] = a
+    sums = arr @ np.eye(len(blocks), dtype=np.int64)[owner]
+    reps = [b[0] for b in blocks]
+    bad = sums != sums[reps][owner]
+    if bad.any():
+        i = int(owner[bad.any(axis=1)].min())
+        rows = list(blocks[i])
+        j = int(bad[rows].any(axis=0).argmax())
+        raise EquitabilityError(
+            f"blocks ({i}, {j}): rows {[r for r in rows if bad[r, j]]} have block sums "
+            f"{sorted(set(sums[rows, j].tolist()))}, expected constant"
         )
-        inverse = inverse.reshape(-1)
-        for group in np.flatnonzero(counts > 1):
-            rows = np.flatnonzero(inverse == group)
-            head[rows] = rows[0]
-    blocks: dict[int, list[int]] = {}
-    for i, h in enumerate(head.tolist()):
-        blocks.setdefault(h, []).append(i)
-    return tuple(tuple(b) for b in blocks.values())
+    return sums[reps]
 
 
 def _power_of_linear(root: int, m: int) -> IntPoly:
@@ -327,26 +343,24 @@ def integrality_certificate(mat) -> IntegralityCertificate:
     of ``twin_partition`` as an equitable partition, det(xI - M) is
     det(xI - Q) times (x - d_A + c_A)^(|A| - 1) for each block A with
     off-diagonal entry c_A and diagonal entry d_A, where Q is the block
-    row-sum matrix (a matrix without twins is its own quotient).  The root
-    search is exhaustive: all eigenvalues of a symmetric matrix lie within
-    the maximum absolute row sum, which bounds the candidate integers.
+    row-sum matrix, checked equitable on every call (a matrix without twins
+    is its own quotient).  The root search is exhaustive: all eigenvalues of
+    a symmetric matrix lie within the maximum absolute row sum, which bounds
+    the candidate integers.
     """
     arr = _integer_matrix(mat)
     if not np.array_equal(arr, arr.T):
         raise ValueError("integrality test expects a symmetric integer matrix")
     bound = int(np.abs(arr).sum(axis=1).max()) if arr.size else 0
     blocks = twin_partition(arr)
-    indicator = np.zeros((arr.shape[0], len(blocks)), dtype=np.int64)
     twins: dict[int, int] = {}
-    for a, block in enumerate(blocks):
-        indicator[list(block), a] = 1
+    for block in blocks:
         if len(block) > 1:
             root = int(arr[block[0], block[0]] - arr[block[0], block[1]])
             twins[root] = twins.get(root, 0) + len(block) - 1
-    quotient_poly = char_poly(arr[[b[0] for b in blocks]] @ indicator)
-    roots, residual = integer_roots(quotient_poly, bound=bound)
+    poly = char_poly(_equitable_quotient(arr, blocks))
+    roots, residual = integer_roots(poly, bound=bound)
     found = dict(roots)
-    poly = quotient_poly
     for root, mult in sorted(twins.items()):
         found[root] = found.get(root, 0) + mult
         poly = poly * _power_of_linear(root, mult)

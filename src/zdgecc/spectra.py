@@ -255,7 +255,7 @@ def energy_gap(arg, *, exact_cap: int = DEFAULT_EXACT_CAP) -> GapResult:
         p1, p2 = arg
         claim_id, params = "6.3", {"p1": p1, "p2": p2}
     else:
-        fac = factorize(int(arg)).factors
+        fac = factorize(int(arg)).factors if int(arg) >= 2 else ()
         primes, exponents = [p for p, _ in fac], [a for _, a in fac]
         if exponents == [1, 1]:
             claim_id, params = "6.3", {"p1": primes[0], "p2": primes[1]}

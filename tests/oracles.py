@@ -105,3 +105,24 @@ def poly_from_roots(roots) -> list[int]:
         coeffs = [c - r * coeffs[i + 1] if i + 1 < len(coeffs) else c
                   for i, c in enumerate(coeffs)]
     return coeffs
+
+
+def brute_twin_blocks(mat) -> tuple[tuple[int, ...], ...]:
+    """Twin blocks by the definition, pair by pair: rows i != j are twins when
+    M[i][i] == M[j][j] and M[i][l] == M[j][l] for every l other than i and j.
+    Each block, singletons included, is the lowest unplaced row and its twins."""
+    m = [list(row) for row in mat]
+    n = len(m)
+
+    def twins(i, j):
+        return m[i][i] == m[j][j] and all(
+            m[i][l] == m[j][l] for l in range(n) if l not in (i, j)
+        )
+
+    blocks, placed = [], set()
+    for i in range(n):
+        if i not in placed:
+            block = (i,) + tuple(j for j in range(i + 1, n) if twins(i, j))
+            placed.update(block)
+            blocks.append(block)
+    return tuple(blocks)

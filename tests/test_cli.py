@@ -146,6 +146,24 @@ def test_audit_expected_refutations_from_file(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("fault", ["undecodable", "unreadable"])
+def test_audit_expected_refutations_bad_file_exit_2(capsys, tmp_path, monkeypatch, fault):
+    spec_file = tmp_path / "expected.txt"
+    spec_file.write_bytes(b"\xff\xfe4.3:n=8\n")
+    if fault == "unreadable":
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", denied)
+    code, out, err = run(
+        capsys,
+        "audit", "--theorem", "4.3", "--max-n", "20",
+        "--expect-refutations", str(spec_file),
+    )
+    assert code == 2
+    assert err.startswith("error: cannot read") and err.count("\n") == 1
+
+
 def test_audit_unknown_theorem_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["audit", "--theorem", "7.7"])
@@ -226,6 +244,23 @@ def test_survey_unwritable_output_exit_4(capsys, tmp_path):
     code, out, err = run(capsys, "survey", "--max-n", "20", "--output", str(target))
     assert code == 4
     assert "cannot write" in err
+
+
+@pytest.mark.parametrize("fault", ["file", "under_file", "unwritable"])
+def test_survey_unusable_cache_dir_exit_4(capsys, tmp_path, monkeypatch, fault):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file")
+    cache = {"file": blocker, "under_file": blocker / "cache"}.get(fault, tmp_path / "cache")
+    if fault == "unwritable":
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "write_text", denied)
+    code, out, err = run(capsys, "survey", "--max-n", "12", "--cache-dir", str(cache))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: cannot write cache") and str(cache) in err
+    assert err.count("\n") == 1
 
 
 def test_survey_output_file(capsys, tmp_path):

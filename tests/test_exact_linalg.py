@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import naive_det
+from zdgecc import EquitabilityError, exact_linalg
 from zdgecc.eccentricity import eccentricity_matrix
 from zdgecc.exact_linalg import (
     EvaluationAtEigenvalueError,
@@ -224,6 +225,13 @@ def test_integrality_certificate_factors_twin_blocks():
     cert = integrality_certificate(mat)
     assert cert.roots == ((1, 3), (5, 1))
     assert cert.poly == char_poly(mat)
+
+
+def test_integrality_certificate_checks_its_partition_is_equitable(monkeypatch):
+    # path 0-1-2 split as {0, 1}, {2}: rows 0 and 1 have sums 2 and 1 into {2}
+    monkeypatch.setattr(exact_linalg, "twin_partition", lambda mat: ((0, 1), (2,)))
+    with pytest.raises(EquitabilityError, match=r"blocks \(0, 1\): rows \[1\] .* \[1, 2\]"):
+        integrality_certificate([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_ecc_matrix, brute_zdg_edges
+from oracles import brute_ecc_matrix, brute_twin_blocks, brute_zdg_edges
 from zdgecc.cli import main
 from zdgecc.eccentricity import eccentricity_matrix
-from zdgecc.exact_linalg import IntPoly, char_poly, integer_roots, integrality_certificate
+from zdgecc.exact_linalg import (
+    IntPoly,
+    char_poly,
+    integer_roots,
+    integrality_certificate,
+    twin_partition,
+)
 from zdgecc.graphs import build_zdg
 from zdgecc.number_theory import is_prime
 
@@ -47,22 +53,34 @@ def test_integer_roots_without_bound_return_the_chosen_roots(chosen):
 
 
 @st.composite
-def symmetric_matrices(draw):
-    """Symmetric matrices of order <= 12, entries 0-3, zero diagonal, with up
-    to three planted twin blocks (a later block may break an earlier one)."""
+def symmetric_matrices(draw, diagonal=False):
+    """Symmetric matrices of order <= 12, entries 0-3, with up to three
+    planted twin blocks (a later block may break an earlier one).  The
+    diagonal is zero or, with ``diagonal=True``, drawn from 1-3 and made
+    constant on each planted block."""
     n = draw(st.integers(1, 12))
     m = np.zeros((n, n), dtype=np.int64)
     m[np.triu_indices(n, 1)] = draw(
         st.lists(st.integers(0, 3), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
     )
     m = m + m.T
+    diag = np.zeros(n, dtype=np.int64)
+    if diagonal:
+        diag[:] = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
         block = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True))
         m[block, :] = m[block[0], :]
         m[:, block] = m[:, [block[0]]]
         m[np.ix_(block, block)] = draw(st.integers(0, 3))
-        np.fill_diagonal(m, 0)
+        diag[block] = diag[block[0]]
+    np.fill_diagonal(m, diag)
     return m
+
+
+@PROPERTY
+@given(st.one_of(symmetric_matrices(), symmetric_matrices(diagonal=True)))
+def test_twin_partition_matches_the_pairwise_definition(m):
+    assert twin_partition(m) == brute_twin_blocks(m.tolist())
 
 
 @PROPERTY

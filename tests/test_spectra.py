@@ -273,6 +273,9 @@ def test_energy_gap_not_applicable():
         energy_gap(16)
     with pytest.raises(NotApplicableError):
         energy_gap((5, 5))
+    for n in (1, 0, -35):
+        with pytest.raises(NotApplicableError):
+            energy_gap(n)
 
 
 @pytest.mark.parametrize(
