@@ -1,11 +1,12 @@
 """Zero-divisor graphs of Z_n, their eccentricity matrices and spectra.
 
-The package builds the plain, extended and compressed zero-divisor graphs
-of the ring of integers modulo n, computes eccentricity matrices and their
-spectra both exactly (arbitrary-precision characteristic polynomials) and
-in floating point (LAPACK, behind a backward-error check), and audits a catalogue of claimed
-closed-form spectra, energies and structure statements against computed
-ground truth.
+The package models the plain, extended, compressed and complement
+zero-divisor graphs of the ring of integers modulo n by their divisor
+classes (and builds them densely where asked), computes eccentricity
+matrices and their spectra both exactly (arbitrary-precision characteristic
+polynomials) and in floating point (LAPACK, behind a backward-error check),
+and audits a catalogue of claimed closed-form spectra, energies and
+structure statements against computed ground truth.
 """
 
 __version__ = "0.1.0"
@@ -21,6 +22,7 @@ from zdgecc.number_theory import (
     proper_divisors,
 )
 from zdgecc.graphs import (
+    Decomposition,
     EmptyGraphError,
     Graph,
     UNREACHABLE,

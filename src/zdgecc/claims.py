@@ -7,7 +7,10 @@ ground truth, the matrix order there, the claimed spectrum, energy value or
 bound, and the audit that checks it.  ``audit`` computes ground truth with
 the exact engine and compares, producing a Verified / Refuted /
 NotApplicable / MalformedClaim / Skipped verdict with machine-checkable
-evidence.
+evidence.  Ground truth is the class model (``graphs.Decomposition``) of the
+claim's variant, cached per modulus; only the tree theorems 4.1 and 4.2
+(the eccentricity matrix of a tree) and 5.3 (Z_p x Z_p) build a dense
+graph.
 
 A claim whose multiplicities cannot sum to the matrix order is reported as
 MalformedClaim before any numerical comparison; refutations always carry at
@@ -28,20 +31,10 @@ from typing import Callable
 import numpy as np
 
 from zdgecc.eccentricity import eccentricity_matrix, is_irreducible
-from zdgecc.graphs import (
-    Graph,
-    build_extended_zdg,
-    build_zdg,
-    build_zdg_zpzp,
-    complement,
-    is_complete,
-    is_star,
-    is_tree,
-)
+from zdgecc.graphs import Decomposition, Graph, build_zdg, build_zdg_zpzp
 from zdgecc.number_theory import is_prime, primes_up_to
 from zdgecc.report import fmt_value, spectrum_json
 from zdgecc.spectra import DEFAULT_EXACT_CAP, Spectrum, spectrum
-from zdgecc.survey import variant_order
 
 
 class Verdict(enum.Enum):
@@ -115,9 +108,11 @@ def _composites(args) -> list[dict]:
 
 @functools.lru_cache(maxsize=None)
 def _tree_ns(max_n: int) -> tuple[int, ...]:
-    """Composite n <= max_n whose zero-divisor graph is a tree; theorems 4.1
-    and 4.2 enumerate the same moduli, so each graph is built once."""
-    return tuple(n for n in range(4, max_n + 1) if not is_prime(n) and is_tree(build_zdg(n)))
+    """Composite n <= max_n whose zero-divisor graph is a tree, read from
+    the class models; theorems 4.1 and 4.2 enumerate the same moduli."""
+    return tuple(
+        n for n in range(4, max_n + 1) if not is_prime(n) and Decomposition.of(n, "zdg").tree
+    )
 
 
 def _tree_moduli(args) -> list[dict]:
@@ -154,17 +149,19 @@ TREE = replace(COMPOSITE, enumerate=_tree_moduli)
 
 
 def _zdg_order(n: int) -> int:
-    return variant_order(n, "zdg")
+    return Decomposition.of(n, "zdg").n_vertices
 
 
 @dataclass(frozen=True)
 class TheoremClaim:
-    """One theorem: ``graph(ring(params))`` is its ground truth, with
+    """One theorem: its ground truth at modulus ``ring(params)`` is the class
+    model of ``variant`` there, or, where ``graph`` is set, that dense graph
+    (the tree theorems 4.1 and 4.2 and Z_p x Z_p), with
     ``order(ring(params))`` vertices; ``payload`` is the claimed (value,
     multiplicity, exact) triples (None where none are stated, MalformedClaim
     where they are not real), energy value or gap bound; ``check`` audits an
-    applicable point within the exact cap against that ground-truth graph,
-    returning (verdict, evidence)."""
+    applicable point within the exact cap at that modulus, returning
+    (verdict, evidence)."""
 
     id: str
     kind: str  # spectrum | integrality | energy | gap | structure
@@ -173,7 +170,8 @@ class TheoremClaim:
     check: Callable[..., tuple[Verdict, dict]]
     source: str
     payload: Callable[[dict], object] | None = None
-    graph: Callable[[int], Graph] = build_zdg
+    variant: str = "zdg"
+    graph: Callable[[int], Graph] | None = None
     order: Callable[[int], int] = _zdg_order
     eigenvalue_bound: Callable[[dict], int] | None = None
     asserts_complete: bool = False
@@ -356,13 +354,20 @@ def _compare_spectra(claimed: Spectrum, computed: Spectrum, tol: float) -> dict:
     }
 
 
-def _computed_spectrum(graph, exact_cap: int) -> Spectrum:
-    mat = eccentricity_matrix(graph)
-    spec = spectrum(mat, "exact", exact_cap=exact_cap)
+def _ground_truth(claim: TheoremClaim, modulus: int):
+    """The eccentricity matrix a claim is checked against: its dense graph's,
+    or its class model."""
+    if claim.graph is not None:
+        return eccentricity_matrix(claim.graph(modulus))
+    return Decomposition.of(modulus, claim.variant)
+
+
+def _computed_spectrum(source, order: int, exact_cap: int) -> Spectrum:
+    spec = spectrum(source, "exact", exact_cap=exact_cap)
     # sanity preflight: trace zero and multiplicity sum
-    if spec.order != mat.shape[0]:
+    if spec.order != order:
         raise ArithmeticError("computed multiplicities do not sum to the order")
-    if abs(spec.eigen_sum()) > 1e-7 * max(1, mat.shape[0]):
+    if abs(spec.eigen_sum()) > 1e-7 * max(1, order):
         raise ArithmeticError("computed spectrum violates trace zero")
     exact_sum = sum(
         (e.value * e.multiplicity for e in spec.entries if e.exact), Fraction(0)
@@ -373,18 +378,19 @@ def _computed_spectrum(graph, exact_cap: int) -> Spectrum:
 
 
 # ----------------------------------------------------------------------------
-# audits: each takes (claim, params, graph, tol, exact_cap) for an applicable
-# point within the exact cap, where graph is the ground truth
-# claim.graph(claim.ring(params)), and returns (verdict, evidence)
+# audits: each takes (claim, params, modulus, tol, exact_cap) for an
+# applicable point within the exact cap, where modulus is claim.ring(params),
+# and returns (verdict, evidence)
 
 
 def _verdict(ok: bool) -> Verdict:
     return Verdict.VERIFIED if ok else Verdict.REFUTED
 
 
-def _spectrum_audit(claim: TheoremClaim, q: dict, graph: Graph, tol: float, exact_cap: int):
+def _spectrum_audit(claim: TheoremClaim, q: dict, modulus: int, tol: float, exact_cap: int):
     claimed = claimed_spectrum(claim.id, q)
-    computed = _computed_spectrum(graph, exact_cap)
+    truth = _ground_truth(claim, modulus)
+    computed = _computed_spectrum(truth, claim.order(modulus), exact_cap)
     if isinstance(claimed, MalformedClaim):
         return Verdict.MALFORMED_CLAIM, {
             "reason": claimed.reason,
@@ -401,15 +407,15 @@ def _spectrum_audit(claim: TheoremClaim, q: dict, graph: Graph, tol: float, exac
     ev["max_deviation"] = cmp["max_deviation"]
     ev["worst_pair"] = cmp["worst_pair"]
     if claim.asserts_complete:
-        ev["complete"] = is_complete(graph)
+        ev["complete"] = truth.complete
         if not ev["complete"]:
             return Verdict.REFUTED, ev
     return _verdict(cmp["matches"]), ev
 
 
-def _integrality_audit(claim: TheoremClaim, q: dict, graph: Graph, tol: float, exact_cap: int):
+def _integrality_audit(claim: TheoremClaim, q: dict, modulus: int, tol: float, exact_cap: int):
     claimed_integral = q["t"] == 2
-    computed = _computed_spectrum(graph, exact_cap)
+    computed = _computed_spectrum(_ground_truth(claim, modulus), claim.order(modulus), exact_cap)
     cert = computed.certificate
     ev = {
         "computed_integral": cert.integral,
@@ -430,8 +436,13 @@ def _integrality_audit(claim: TheoremClaim, q: dict, graph: Graph, tol: float, e
     return Verdict.VERIFIED, ev
 
 
-def _energy_audit(claim: TheoremClaim, q: dict, graph: Graph, tol: float, exact_cap: int):
-    spec_c = _computed_spectrum(complement(graph), exact_cap)
+def _complement_spectrum(claim: TheoremClaim, modulus: int, exact_cap: int) -> Spectrum:
+    model = Decomposition.of(modulus, "complement")
+    return _computed_spectrum(model, claim.order(modulus), exact_cap)
+
+
+def _energy_audit(claim: TheoremClaim, q: dict, modulus: int, tol: float, exact_cap: int):
+    spec_c = _complement_spectrum(claim, modulus, exact_cap)
     formula = claim.payload(q)
     exact_energy = spec_c.energy_exact()
     ev = {
@@ -445,9 +456,9 @@ def _energy_audit(claim: TheoremClaim, q: dict, graph: Graph, tol: float, exact_
     return _verdict(abs(spec_c.energy() - float(formula)) <= tol), ev
 
 
-def _gap_audit(claim: TheoremClaim, q: dict, graph: Graph, tol: float, exact_cap: int):
-    spec_g = _computed_spectrum(graph, exact_cap)
-    spec_c = _computed_spectrum(complement(graph), exact_cap)
+def _gap_audit(claim: TheoremClaim, q: dict, modulus: int, tol: float, exact_cap: int):
+    spec_g = _computed_spectrum(_ground_truth(claim, modulus), claim.order(modulus), exact_cap)
+    spec_c = _complement_spectrum(claim, modulus, exact_cap)
     bound = claim.payload(q)
     gap = abs(spec_g.energy() - spec_c.energy())
     ev = {
@@ -466,31 +477,32 @@ def _gap_audit(claim: TheoremClaim, q: dict, graph: Graph, tol: float, exact_cap
     return _verdict(ok_gap), ev
 
 
-def _tree_iff_2p_audit(claim: TheoremClaim, q: dict, graph: Graph, tol: float, exact_cap: int):
-    n = q["n"]
-    tree = is_tree(graph)
-    is_2p = n % 2 == 0 and is_prime(n // 2)
-    star = is_star(graph) if tree else False
+def _tree_iff_2p_audit(claim: TheoremClaim, q: dict, modulus: int, tol: float, exact_cap: int):
+    model = Decomposition.of(modulus, claim.variant)
+    tree = model.tree
+    is_2p = modulus % 2 == 0 and is_prime(modulus // 2)
+    star = model.star
     ev = {"tree": tree, "n_is_2p": is_2p, "star": star}
     return _verdict(tree == is_2p and (not is_2p or star)), ev
 
 
-def _irreducible_audit(claim: TheoremClaim, q: dict, graph: Graph, tol: float, exact_cap: int):
-    if not is_tree(graph):
+def _irreducible_audit(claim: TheoremClaim, q: dict, modulus: int, tol: float, exact_cap: int):
+    if not Decomposition.of(modulus, claim.variant).tree:
         return Verdict.NOT_APPLICABLE, {"reason": "zero-divisor graph is not a tree"}
-    irr = is_irreducible(eccentricity_matrix(graph))
+    irr = is_irreducible(_ground_truth(claim, modulus))
     return _verdict(irr), {"irreducible": irr}
 
 
-def _least_eigenvalue_audit(claim: TheoremClaim, q: dict, graph: Graph, tol: float, exact_cap: int):
-    if not is_tree(graph):
+def _least_eigenvalue_audit(claim: TheoremClaim, q: dict, modulus: int, tol: float, exact_cap: int):
+    model = Decomposition.of(modulus, claim.variant)
+    if not model.tree:
         return Verdict.NOT_APPLICABLE, {"reason": "zero-divisor graph is not a tree"}
-    if graph.n_vertices < 3:
+    if model.n_vertices < 3:
         return Verdict.NOT_APPLICABLE, {
             "reason": "statement excludes trees on fewer than 3 vertices"
         }
-    least = spectrum(eccentricity_matrix(graph), "float").least()
-    star = is_star(graph)
+    least = spectrum(_ground_truth(claim, modulus), "float").least()
+    star = model.star
     at_minus_two = abs(least + 2.0) <= 1e-9
     ev = {"least_eigenvalue": fmt_value(least), "star": star}
     return _verdict(least <= -2.0 + 1e-9 and (at_minus_two == star)), ev
@@ -519,7 +531,7 @@ def audit(
                 claim.id, prm, Verdict.SKIPPED,
                 {"reason": f"order {order} exceeds exact cap {exact_cap}"},
             )
-    verdict, evidence = claim.check(claim, params, claim.graph(modulus), tol, exact_cap)
+    verdict, evidence = claim.check(claim, params, modulus, tol, exact_cap)
     return AuditVerdict(claim.id, prm, verdict, evidence)
 
 
@@ -588,10 +600,12 @@ CLAIMS: dict[str, TheoremClaim] = {c.id: c for c in (
     TheoremClaim(
         "4.1", "structure", TREE, lambda q: q["n"], _least_eigenvalue_audit,
         "Theorem 4.1: least eccentricity eigenvalue of a tree (not P2) is <= -2, equal iff the tree is a star",
+        graph=build_zdg,
     ),
     TheoremClaim(
         "4.2", "structure", TREE, lambda q: q["n"], _irreducible_audit,
         "Theorem 4.2: the eccentricity matrix of a tree is irreducible",
+        graph=build_zdg,
     ),
     TheoremClaim(
         "4.3", "structure", COMPOSITE, lambda q: q["n"], _tree_iff_2p_audit,
@@ -606,7 +620,7 @@ CLAIMS: dict[str, TheoremClaim] = {c.id: c for c in (
         "5.2", "spectrum", PRIME_POWER, lambda q: q["p"] ** q["t"], _spectrum_audit,
         "Theorem 5.2: the extended zero-divisor graph of Z_{p^t} (t >= 2) is complete with integral spectrum",
         lambda q: [(-1, q["p"] ** (q["t"] - 1) - 2, True), (q["p"] ** (q["t"] - 1) - 2, 1, True)],
-        graph=build_extended_zdg, asserts_complete=True,
+        variant="extended", asserts_complete=True,
     ),
     TheoremClaim(
         "5.3", "spectrum", PRIME, lambda q: q["p"], _spectrum_audit,

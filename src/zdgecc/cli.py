@@ -1,7 +1,11 @@
 """Command-line front end: single-n spectra, theorem audits, range surveys.
 
+Reports are read from the class model of (n, variant); only ``spectrum
+--dump-graph``/``--dump-matrix`` builds the V x V graph and matrix.
+
 Exit codes: 0 success (audits: no unexpected refutations); 1 audit refutation
-mismatch; 2 usage or domain error (prime modulus, unknown theorem); 3 exact
+mismatch; 2 usage or domain error (prime modulus, unknown theorem, a bad
+``--expect-refutations`` spec, found before any audit runs); 3 exact
 computation requested above the order cap, or input too large to build in
 memory; 4 unwritable output path.
 """
@@ -16,7 +20,7 @@ from pathlib import Path
 
 from zdgecc import claims, report, survey
 from zdgecc.eccentricity import eccentricity_matrix
-from zdgecc.graphs import EmptyGraphError, to_adjacency_text
+from zdgecc.graphs import Decomposition, EmptyGraphError, to_adjacency_text
 from zdgecc.spectra import DEFAULT_CLUSTER_TOL, DEFAULT_EXACT_CAP, spectrum
 
 EXIT_OK = 0
@@ -49,30 +53,33 @@ def _render(items: list[dict], command: str, as_csv: bool, extra: dict | None = 
 
 
 def cmd_spectrum(args) -> int:
-    # the order is known from n alone, so an oversize exact request fails
-    # before the V x V graph and matrix are allocated
+    # the report is read from the class model; only a --dump-* request builds
+    # the V x V graph and matrix, and then the whole report comes from them
     try:
-        order = survey.variant_order(args.n, args.variant)
+        model = Decomposition.of(args.n, args.variant)
     except EmptyGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    order = model.n_vertices
     method = args.method
     if method == "auto":
         method = "exact" if order <= args.exact_cap else "float"
     if method == "exact" and order > args.exact_cap:
         print(f"error: order {order} exceeds exact cap {args.exact_cap}", file=sys.stderr)
         return EXIT_OVERSIZE
-    g = survey.variant_graph(args.n, args.variant)
-    mat = eccentricity_matrix(g)
-    spec = spectrum(mat, method, exact_cap=args.exact_cap, cluster_tol=args.cluster_tol)
-    structure = report.structure_fields(g)
+    source = graph = model
+    if args.dump_graph or args.dump_matrix:
+        graph = model.dense()
+        source = eccentricity_matrix(graph)
+    spec = spectrum(source, method, exact_cap=args.exact_cap, cluster_tol=args.cluster_tol)
+    structure = report.structure_fields(graph)
     item = {
         "kind": "spectrum",
         "n": args.n,
         "variant": args.variant,
         "method": method,
         **structure,
-        **report.spectral_fields(mat, spec, structure["connected"]),
+        **report.spectral_fields(source, spec, structure["connected"]),
         "spectrum": report.spectrum_json(spec),
     }
     exact_energy = spec.energy_exact()
@@ -83,11 +90,11 @@ def cmd_spectrum(args) -> int:
         item["integral"] = spec.certificate.integral
         item["factorization"] = spec.certificate.text()
     if args.dump_graph:
-        rc = _emit(to_adjacency_text(g), args.dump_graph)
+        rc = _emit(to_adjacency_text(graph), args.dump_graph)
         if rc:
             return rc
     if args.dump_matrix:
-        text = "\n".join(" ".join(str(v) for v in row) for row in mat.tolist()) + "\n"
+        text = "\n".join(" ".join(str(v) for v in row) for row in source.tolist()) + "\n"
         rc = _emit(text, args.dump_matrix)
         if rc:
             return rc
@@ -119,6 +126,12 @@ def _parse_expected(raw: str, theorems: list[str]) -> set[str] | None:
 
 def cmd_audit(args) -> int:
     theorems = list(claims.THEOREM_IDS) if args.theorem == "all" else [args.theorem]
+    expected = None
+    if args.expect_refutations is not None:
+        # a bad spec is a usage error, found before any audit runs
+        expected = _parse_expected(args.expect_refutations, theorems)
+        if expected is None:
+            return EXIT_USAGE
     verdicts: list[claims.AuditVerdict] = []
     for theorem in theorems:
         for params in claims.CLAIMS[theorem].family.enumerate(args):
@@ -146,10 +159,7 @@ def cmd_audit(args) -> int:
     rc = _emit(text, args.output)
     if rc:
         return rc
-    if args.expect_refutations is not None:
-        expected = _parse_expected(args.expect_refutations, theorems)
-        if expected is None:
-            return EXIT_USAGE
+    if expected is not None:
         if set(refutations) != expected:
             missing = sorted(expected - set(refutations))
             surplus = sorted(set(refutations) - expected)

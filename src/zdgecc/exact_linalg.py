@@ -13,6 +13,8 @@ are implemented here independently, so the two routes cross-validate.
 twin blocks (``twin_partition``) form an equitable partition, checked on every
 call, whose ``k x k`` quotient carries every eigenvalue but the block factors
 ``(x - d + c)^(m-1)`` (Godsil and Royle, *Algebraic Graph Theory*, ch. 9).
+``quotient_certificate`` is the tail it shares with the class model, which
+hands over its quotient and block factors without any ``V x V`` matrix.
 """
 
 from __future__ import annotations
@@ -301,13 +303,17 @@ def twin_partition(mat) -> tuple[tuple[int, ...], ...]:
     """
     arr = np.asarray(mat)
     agree = np.zeros(arr.shape)
-    for v in np.unique(arr):
+    # sorted(set(...)), not np.unique: plain np.unique imports numpy.ma
+    for v in sorted(set(arr.ravel().tolist())):
         hits = (arr == v).astype(np.float64)
         agree += hits @ hits.T
     diag = np.diagonal(arr)[:, None]
     twin = (agree == len(arr) - 2 * (arr != diag)) & (diag == diag.T)
-    heads = twin.argmax(axis=1) if len(arr) else []  # smallest twin, the row included
-    return tuple(tuple(np.flatnonzero(heads == h).tolist()) for h in np.unique(heads))
+    heads = twin.argmax(axis=1).tolist() if len(arr) else []  # smallest twin, the row included
+    blocks: dict[int, list[int]] = {}
+    for i, h in enumerate(heads):
+        blocks.setdefault(h, []).append(i)
+    return tuple(tuple(b) for b in blocks.values())
 
 
 def _equitable_quotient(mat, blocks) -> np.ndarray:
@@ -336,6 +342,23 @@ def _power_of_linear(root: int, m: int) -> IntPoly:
     return IntPoly(tuple(math.comb(m, k) * (-root) ** (m - k) for k in range(m + 1)))
 
 
+def quotient_certificate(quotient, factors: dict[int, int], bound: int) -> IntegralityCertificate:
+    """Factor det(xI - M) given an equitable partition of M: det(xI - Q) for
+    its quotient Q times (x - r)^m for each block factor r: m.
+
+    ``char_poly`` runs once, on Q, and its integer roots are searched in
+    [-bound, bound]; ``bound`` must bound every eigenvalue of M (the maximum
+    absolute row sum of M does).
+    """
+    poly = char_poly(quotient)
+    roots, residual = integer_roots(poly, bound=bound)
+    found = dict(roots)
+    for root, mult in sorted(factors.items()):
+        found[root] = found.get(root, 0) + mult
+        poly = poly * _power_of_linear(root, mult)
+    return IntegralityCertificate(tuple(sorted(found.items())), residual, poly)
+
+
 def integrality_certificate(mat) -> IntegralityCertificate:
     """Factor the exact characteristic polynomial of a symmetric integer matrix.
 
@@ -358,13 +381,7 @@ def integrality_certificate(mat) -> IntegralityCertificate:
         if len(block) > 1:
             root = int(arr[block[0], block[0]] - arr[block[0], block[1]])
             twins[root] = twins.get(root, 0) + len(block) - 1
-    poly = char_poly(_equitable_quotient(arr, blocks))
-    roots, residual = integer_roots(poly, bound=bound)
-    found = dict(roots)
-    for root, mult in sorted(twins.items()):
-        found[root] = found.get(root, 0) + mult
-        poly = poly * _power_of_linear(root, mult)
-    return IntegralityCertificate(tuple(sorted(found.items())), residual, poly)
+    return quotient_certificate(_equitable_quotient(arr, blocks), twins, bound)
 
 
 def is_integral_spectrum(mat) -> tuple[bool, IntegralityCertificate]:

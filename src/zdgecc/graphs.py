@@ -5,10 +5,16 @@ plus a symmetric boolean adjacency matrix with an empty diagonal.  All
 constructors order vertices canonically (ascending labels, or ascending
 divisor for class-grouped constructions) so matrices and reports are
 reproducible.
+
+Every variant of Z_n is first a ``Decomposition``: its divisor classes,
+their sizes and their class adjacency, k = tau(n) - 2 classes whatever the
+vertex count.  Structure flags are read from it, and the ``V x V`` graph is
+only its dense expansion (``Decomposition.dense``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,12 +23,9 @@ import numpy as np
 from zdgecc.number_theory import (
     ClassKind,
     DivisorClass,
-    class_graph_kind,
     divisor_class,
-    euler_phi,
     factorize,
     is_prime,
-    proper_divisors,
 )
 
 UNREACHABLE = -1
@@ -106,36 +109,15 @@ def complete_graph(labels) -> Graph:
     return Graph(labels, adj)
 
 
-def _zero_divisor_labels(n: int) -> np.ndarray:
-    if n < 4 or is_prime(n):
-        raise EmptyGraphError(f"Z_{n} has no nonzero zero divisors")
-    order = n - euler_phi(n) - 1
-    # past intp, numpy raises ValueError or OverflowError, not MemoryError
-    if order * order > np.iinfo(np.intp).max:
-        raise MemoryError(f"a {order} x {order} adjacency exceeds numpy's index range")
-    elems = np.arange(1, n, dtype=np.int64)
-    return elems[np.gcd(elems, n) != 1]
-
-
 def _class_adjacency(divs: list[int], m: int) -> np.ndarray:
     """m | d*e for each pair of divisors, as (m // gcd(d, m)) | e in Python ints."""
     need = [m // math.gcd(d, m) for d in divs]
     return np.array([[e % q == 0 for e in divs] for q in need], dtype=bool)
 
 
-def _gcd_class_graph(n: int, m: int) -> Graph:
-    """u ~ v iff m | u*v, for m | n; that holds iff m | gcd(u, n) * gcd(v, n),
-    so it is decided once per pair of gcd classes and expanded to vertices."""
-    labels = _zero_divisor_labels(n)
-    divs, cls = np.unique(np.gcd(labels, n), return_inverse=True)
-    adj = _class_adjacency(divs.tolist(), m)[np.ix_(cls, cls)]
-    np.fill_diagonal(adj, False)
-    return Graph(labels, adj)
-
-
 def build_zdg(n: int) -> Graph:
     """Zero-divisor graph of Z_n: u ~ v iff u*v = 0 (mod n)."""
-    return _gcd_class_graph(n, n)
+    return Decomposition.of(n, "zdg").dense()
 
 
 def build_extended_zdg(n: int) -> Graph:
@@ -146,7 +128,7 @@ def build_extended_zdg(n: int) -> Graph:
     some (a, b) clears every prime of n exactly when the radical of n
     divides u*v.
     """
-    return _gcd_class_graph(n, factorize(n).radical)
+    return Decomposition.of(n, "extended").dense()
 
 
 def build_compressed_zdg(n: int) -> Graph:
@@ -157,7 +139,7 @@ def build_compressed_zdg(n: int) -> Graph:
     classes d and e are adjacent iff n | d*e.  That is the divisor skeleton
     ``upsilon(n)``.
     """
-    return upsilon(n)
+    return Decomposition.of(n, "compressed").dense()
 
 
 def build_zdg_zpzp(p: int) -> Graph:
@@ -183,12 +165,7 @@ def complement(g: Graph) -> Graph:
 
 def upsilon(n: int) -> Graph:
     """Skeleton graph on proper divisors: d_i ~ d_j iff n | d_i * d_j."""
-    if n < 4 or is_prime(n):
-        raise EmptyGraphError(f"Z_{n} has no proper divisor skeleton")
-    divs = proper_divisors(n)
-    adj = _class_adjacency(divs, n)
-    np.fill_diagonal(adj, False)
-    return Graph(divs, adj)
+    return Decomposition.of(n, "zdg").skeleton
 
 
 def generalized_join(skeleton: Graph, parts: list[Graph]) -> Graph:
@@ -221,16 +198,132 @@ def generalized_join(skeleton: Graph, parts: list[Graph]) -> Graph:
     return Graph(labels, adj)
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Generalized-join decomposition of a zero-divisor graph.
+VARIANTS = ("zdg", "extended", "compressed", "complement")
 
-    skeleton: the proper-divisor graph; parts: one (class, kind) per skeleton
-    vertex, in skeleton label order.
+
+def _divisor_classes(n: int) -> list[tuple[int, int]]:
+    """(d, phi(n / d)) for every proper divisor d of n, ascending, read off
+    n's factorization: phi(n / d) is the product over p^a || n, p^b || d,
+    b < a, of p^(a-b-1) (p - 1)."""
+    out = [(1, 1)]
+    for p, a in factorize(n).factors:
+        out = [
+            (d * p**b, m * (p ** (a - b - 1) * (p - 1) if b < a else 1))
+            for d, m in out
+            for b in range(a + 1)
+        ]
+    return sorted(out)[1:-1]
+
+
+@dataclass(frozen=True, eq=False)
+class Decomposition:
+    """Divisor-class model of a zero-divisor graph variant of Z_n.
+
+    Class d holds the vertices v with gcd(v, n) = d, one class per proper
+    divisor, and has ``sizes[d] = phi(n / d)`` vertices (1 in the compressed
+    graph, whose vertices are the divisors).  Vertices of classes d != e are
+    adjacent iff ``adj[d, e]``; class d induces a clique when ``adj[d, d]``
+    (its loop flag) and an independent set otherwise.  So the graph is the
+    generalized join of its ``skeleton`` over those parts, and vertices of
+    one class are twins.  Nothing here is V x V: sizes reach 10^11.
+
+    ``ecc`` and ``irreducible`` are the class-level eccentricity data (see
+    ``eccentricity.class_eccentricity_matrix``), computed once per model.
     """
 
-    skeleton: Graph
-    parts: tuple[tuple[DivisorClass, ClassKind], ...]
+    n: int
+    variant: str
+    divisors: tuple[int, ...]
+    sizes: tuple[int, ...]
+    adj: np.ndarray
+
+    @classmethod
+    @functools.lru_cache(maxsize=512)
+    def of(cls, n: int, variant: str) -> "Decomposition":
+        """The model of ``variant`` of Z_n, cached per (n, variant) (the
+        most recent 512: a survey reads each model once, an audit a few
+        hundred over and over).
+
+        Class adjacency is n | d*e (zdg and compressed), rad(n) | d*e
+        (extended), or its negation, diagonal included (complement).
+        """
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}")
+        if n < 4 or is_prime(n):
+            raise EmptyGraphError(f"Z_{n} has no nonzero zero divisors")
+        divs, sizes = zip(*_divisor_classes(n))
+        adj = _class_adjacency(divs, factorize(n).radical if variant == "extended" else n)
+        if variant == "complement":
+            adj = ~adj
+        if variant == "compressed":
+            sizes = (1,) * len(divs)
+        adj.setflags(write=False)
+        return cls(n, variant, divs, sizes, adj)
+
+    @property
+    def n_vertices(self) -> int:
+        return sum(self.sizes)
+
+    @functools.cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """Vertex degree in each class."""
+        return tuple(
+            sum(self.sizes[j] for j in np.flatnonzero(row).tolist()) - int(row[i])
+            for i, row in enumerate(self.adj)
+        )
+
+    @functools.cached_property
+    def n_edges(self) -> int:
+        return sum(m * deg for m, deg in zip(self.sizes, self.degrees)) // 2
+
+    @functools.cached_property
+    def connected(self) -> bool:
+        if len(self.sizes) == 1:
+            return self.sizes[0] == 1 or bool(self.adj[0, 0])
+        return bool(_reachable(self.adj, 0).all())
+
+    @property
+    def tree(self) -> bool:
+        return self.connected and self.n_edges == self.n_vertices - 1
+
+    @property
+    def star(self) -> bool:
+        """Tree with at most one vertex of degree > 1."""
+        return self.tree and sum(m for m, deg in zip(self.sizes, self.degrees) if deg > 1) <= 1
+
+    @property
+    def complete(self) -> bool:
+        v = self.n_vertices
+        return self.n_edges == v * (v - 1) // 2
+
+    @functools.cached_property
+    def ecc(self) -> np.ndarray:
+        from zdgecc.eccentricity import class_eccentricity_matrix  # imports this module
+
+        ecc = class_eccentricity_matrix(self)
+        ecc.setflags(write=False)  # shared by every caller of the cached model
+        return ecc
+
+    @functools.cached_property
+    def irreducible(self) -> bool:
+        from zdgecc.eccentricity import class_is_irreducible  # imports this module
+
+        return class_is_irreducible(self)
+
+    @property
+    def skeleton(self) -> Graph:
+        """The class adjacency without loops, on the divisors."""
+        adj = self.adj.copy()
+        np.fill_diagonal(adj, False)
+        return Graph(self.divisors, adj)
+
+    @property
+    def parts(self) -> tuple[tuple[DivisorClass, ClassKind], ...]:
+        """One (class, kind) per skeleton vertex; materializes every class."""
+        return tuple(
+            (divisor_class(self.n, d), ClassKind.COMPLETE if loop else ClassKind.NULL)
+            for d, loop in zip(self.divisors, np.diagonal(self.adj).tolist())
+        )
 
     def reconstruct(self) -> Graph:
         part_graphs = []
@@ -241,14 +334,26 @@ class Decomposition:
                 part_graphs.append(null_graph(cls.elements))
         return generalized_join(self.skeleton, part_graphs)
 
+    def dense(self) -> Graph:
+        """The V x V graph: each class expanded to its vertices, ascending."""
+        if self.variant == "compressed":
+            return self.skeleton
+        order = self.n_vertices
+        # past intp, numpy raises ValueError or OverflowError, not MemoryError
+        if order * order > np.iinfo(np.intp).max:
+            raise MemoryError(f"a {order} x {order} adjacency exceeds numpy's index range")
+        elems = np.arange(1, self.n, dtype=np.int64)
+        gcds = np.gcd(elems, self.n)
+        labels = elems[gcds != 1]
+        cls = np.searchsorted(np.array(self.divisors, dtype=np.int64), gcds[gcds != 1])
+        adj = self.adj[np.ix_(cls, cls)]
+        np.fill_diagonal(adj, False)
+        return Graph(labels, adj)
+
 
 def decompose_zdg(n: int) -> Decomposition:
     """Divisor-class decomposition whose reconstruction equals build_zdg(n)."""
-    skel = upsilon(n)
-    parts = tuple(
-        (divisor_class(n, d), class_graph_kind(n, d)) for d in skel.labels
-    )
-    return Decomposition(skel, parts)
+    return Decomposition.of(n, "zdg")
 
 
 def distances(g: Graph) -> np.ndarray:

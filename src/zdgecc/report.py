@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import zdgecc
 from zdgecc.eccentricity import is_irreducible
-from zdgecc.graphs import Graph, is_complete, is_connected, is_star, is_tree
+from zdgecc.graphs import Decomposition, Graph, is_complete, is_connected, is_star, is_tree
 
 SCHEMA_VERSION = 1
 
@@ -38,22 +38,27 @@ def fmt_value(v) -> str:
     return fmt_float(v)
 
 
-def structure_fields(g: Graph) -> dict:
-    """The graph's size and structure flags."""
+def structure_fields(g: Graph | Decomposition) -> dict:
+    """The size and structure flags of a graph or of its class model."""
+    if isinstance(g, Decomposition):
+        flags = (g.connected, g.tree, g.star, g.complete)
+    else:
+        flags = (is_connected(g), is_tree(g), is_star(g), is_complete(g))
     return {
         "vertices": g.n_vertices,
         "edges": g.n_edges,
-        "connected": is_connected(g),
-        "tree": is_tree(g),
-        "star": is_star(g),
-        "complete": is_complete(g),
+        **dict(zip(("connected", "tree", "star", "complete"), flags)),
     }
 
 
-def spectral_fields(mat, spec, connected: bool) -> dict:
-    """Irreducibility of the eccentricity matrix and its spectral statistics."""
+def spectral_fields(source, spec, connected: bool) -> dict:
+    """Irreducibility of the eccentricity matrix (dense, or a class model's)
+    and the spectral statistics of its spectrum."""
+    irreducible = (
+        source.irreducible if isinstance(source, Decomposition) else is_irreducible(source)
+    )
     fields = {
-        "irreducible": is_irreducible(mat),
+        "irreducible": irreducible,
         "energy": fmt_float(spec.energy()),
         "spectral_radius": fmt_float(spec.spectral_radius()),
         "least_eigenvalue": fmt_float(spec.least()),

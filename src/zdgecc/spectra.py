@@ -5,6 +5,14 @@ between a graph and its complement.
 Exact mode reads every eigenvalue from the characteristic polynomial alone
 (no eigensolver, no clustering): the integer roots exactly, the irrational
 ones as certified real roots with exact multiplicities, rounded to floats.
+
+``spectrum`` takes a dense matrix or a ``graphs.Decomposition``.  On a class
+model with sizes m and class eccentricity data C (c on its diagonal), the
+float path runs the eigensolver on the k x k matrix
+S = diag(sqrt m) C diag(sqrt m) - diag(c), which is similar to the quotient,
+and adds -c_d with multiplicity m_d - 1 per class (the generalized-join
+spectrum: Cardoso, de Freitas, Martins and Robbiano, Discrete Math., 2013);
+the exact path reads ``eccentricity.class_certificate``.
 """
 
 from __future__ import annotations
@@ -14,9 +22,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from zdgecc import graphs
-from zdgecc.eccentricity import eccentricity_matrix
+from zdgecc.eccentricity import class_certificate
 from zdgecc.exact_linalg import IntegralityCertificate, integrality_certificate, real_roots
+from zdgecc.graphs import Decomposition
 from zdgecc.number_theory import factorize
 
 DEFAULT_EXACT_CAP = 150
@@ -172,51 +180,74 @@ class Spectrum:
         return cls(entries)
 
 
-def _cluster(values: list[float], tol: float) -> list[tuple[float, int]]:
-    """Group ascending floats into (mean, count) clusters at absolute tol."""
+def _cluster(pairs: list[tuple[float, int]], tol: float) -> list[tuple[float, int]]:
+    """Group (value, multiplicity) pairs, ascending by value, into
+    (mean, count) clusters at absolute tol; the mean is weighted by
+    multiplicity."""
     out: list[tuple[float, int]] = []
-    group: list[float] = []
-    for v in values:
-        if group and v - group[-1] > tol:
-            out.append((sum(group) / len(group), len(group)))
+    group: list[tuple[float, int]] = []
+
+    def close():
+        count = sum(m for _, m in group)
+        out.append((sum(v * m for v, m in group) / count, count))
+
+    for v, m in pairs:
+        if group and v - group[-1][0] > tol:
+            close()
             group = []
-        group.append(v)
+        group.append((v, m))
     if group:
-        out.append((sum(group) / len(group), len(group)))
+        close()
     return out
 
 
+def _float_pairs(source) -> list[tuple[float, int]]:
+    """Ascending (eigenvalue, multiplicity) pairs from the eigensolver: of
+    the matrix itself, or of a class model's S plus its class eigenvalues."""
+    if not isinstance(source, Decomposition):
+        return [(v, 1) for v in eigenvalues_symmetric(source)]
+    c = np.diagonal(source.ecc)
+    root = np.sqrt(np.array(source.sizes, dtype=np.float64))
+    s = source.ecc * np.outer(root, root) - np.diag(c)
+    pairs = [(v, 1) for v in eigenvalues_symmetric(s)]
+    pairs += [(-float(cd), m - 1) for cd, m in zip(c.tolist(), source.sizes) if m > 1]
+    return sorted(pairs)
+
+
 def spectrum(
-    mat,
+    source,
     mode: str = "auto",
     *,
     exact_cap: int = DEFAULT_EXACT_CAP,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> Spectrum:
-    """Spectrum of a symmetric integer matrix.
+    """Spectrum of a symmetric integer matrix, or of the eccentricity matrix
+    of a class model (``graphs.Decomposition``).
 
-    mode "float": eigenvalues_symmetric values clustered at cluster_tol.
+    mode "float": eigensolver values clustered at cluster_tol.
     mode "exact": integer roots of the exact characteristic polynomial as
     exact entries, the certified roots of its residual (``real_roots``) as
     floats with exact multiplicities, cluster_tol unused; the
-    factorization is kept as the result's ``certificate``.  Raises OversizeError above exact_cap.
+    factorization is kept as the result's ``certificate``.  Raises
+    OversizeError when the order (the vertex count) is above exact_cap.
     mode "auto" picks "exact" when the order allows it.
     """
-    arr = np.asarray(mat)
-    n = arr.shape[0]
+    model = source if isinstance(source, Decomposition) else None
+    if model is None:
+        source = np.asarray(source)
+    n = source.shape[0] if model is None else model.n_vertices
     if mode not in ("auto", "exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "auto":
         mode = "exact" if n <= exact_cap else "float"
     if mode == "float":
-        eigs = eigenvalues_symmetric(arr)
         return Spectrum.from_pairs(
-            [(v, m, False) for v, m in _cluster(eigs, cluster_tol)],
+            [(v, m, False) for v, m in _cluster(_float_pairs(source), cluster_tol)],
             cluster_tol=cluster_tol,
         )
     if n > exact_cap:
         raise OversizeError(f"order {n} exceeds exact cap {exact_cap}")
-    cert = integrality_certificate(arr)
+    cert = integrality_certificate(source) if model is None else class_certificate(model)
     entries = [SpectrumEntry(Fraction(r), m, True) for r, m in cert.roots]
     entries.extend(SpectrumEntry(v, m, False) for v, m in real_roots(cert.residual))
     entries.sort(key=lambda e: e.float_value)
@@ -251,11 +282,11 @@ def energy_gap(arg, *, exact_cap: int = DEFAULT_EXACT_CAP) -> GapResult:
     """
     from zdgecc.claims import CLAIMS  # claims imports this module
 
-    if isinstance(arg, tuple):
+    if isinstance(arg, tuple) and len(arg) == 2 and all(isinstance(p, int) for p in arg):
         p1, p2 = arg
         claim_id, params = "6.3", {"p1": p1, "p2": p2}
-    else:
-        fac = factorize(int(arg)).factors if int(arg) >= 2 else ()
+    elif isinstance(arg, int):
+        fac = factorize(arg).factors if arg >= 2 else ()
         primes, exponents = [p for p, _ in fac], [a for _, a in fac]
         if exponents == [1, 1]:
             claim_id, params = "6.3", {"p1": primes[0], "p2": primes[1]}
@@ -265,14 +296,17 @@ def energy_gap(arg, *, exact_cap: int = DEFAULT_EXACT_CAP) -> GapResult:
             raise NotApplicableError(
                 f"n = {arg} is neither a product of two distinct primes nor a prime cube"
             )
+    else:
+        raise NotApplicableError(f"{arg!r} is neither an int nor a pair of ints")
     claim = CLAIMS[claim_id]
     ok, why = claim.applicable(params)
     if not ok:
         raise NotApplicableError(f"{arg!r}: theorem {claim_id} {why}")
-    g = claim.graph(claim.ring(params))
-    e_g = spectrum(eccentricity_matrix(g), "auto", exact_cap=exact_cap).energy()
-    gc = graphs.complement(g)
-    e_gc = spectrum(eccentricity_matrix(gc), "auto", exact_cap=exact_cap).energy()
+    n = claim.ring(params)
+    e_g, e_gc = (
+        spectrum(Decomposition.of(n, v), "auto", exact_cap=exact_cap).energy()
+        for v in (claim.variant, "complement")
+    )
     gap = abs(e_g - e_gc)
     bound = claim.payload(params)
     return GapResult(gap=gap, bound=float(bound), within_bound=gap <= bound)

@@ -2,7 +2,9 @@
 
 Every record is computed by a pure function of (n, variant, options), so the
 survey is deterministic and independent of the worker count; records are
-always emitted sorted by n.
+always emitted sorted by n.  A record reads the class model
+(``graphs.Decomposition``) of its (n, variant) and never builds the V x V
+graph.
 """
 
 from __future__ import annotations
@@ -14,44 +16,22 @@ import os
 from pathlib import Path
 
 import zdgecc
-from zdgecc.eccentricity import eccentricity_matrix
-from zdgecc.exact_linalg import integrality_certificate
-from zdgecc.graphs import (
-    EmptyGraphError,
-    Graph,
-    build_compressed_zdg,
-    build_extended_zdg,
-    build_zdg,
-    complement,
-)
-from zdgecc.number_theory import euler_phi, is_prime, num_proper_divisors
+from zdgecc.eccentricity import class_certificate
+from zdgecc.graphs import VARIANTS, Decomposition, Graph
+from zdgecc.number_theory import is_prime
 from zdgecc.report import spectral_fields, structure_fields
 from zdgecc.spectra import DEFAULT_CLUSTER_TOL, DEFAULT_EXACT_CAP, spectrum
 
-VARIANTS = ("zdg", "extended", "compressed", "complement")
-
 
 def variant_graph(n: int, variant: str) -> Graph:
-    if variant == "zdg":
-        return build_zdg(n)
-    if variant == "extended":
-        return build_extended_zdg(n)
-    if variant == "compressed":
-        return build_compressed_zdg(n)
-    if variant == "complement":
-        return complement(build_zdg(n))
-    raise ValueError(f"unknown variant {variant!r}")
+    """The dense V x V graph of ``variant`` of Z_n."""
+    return Decomposition.of(n, variant).dense()
 
 
 def variant_order(n: int, variant: str) -> int:
-    """Vertex count of ``variant_graph(n, variant)``, found without building it:
-    the n - phi(n) - 1 nonzero zero divisors, or the tau(n) - 2 proper
-    divisors for the compressed graph."""
-    if n < 4 or is_prime(n):
-        raise EmptyGraphError(f"Z_{n} has no nonzero zero divisors")
-    if variant == "compressed":
-        return num_proper_divisors(n)
-    return n - euler_phi(n) - 1
+    """Vertex count of ``variant_graph(n, variant)``, read from its class
+    model without building it."""
+    return Decomposition.of(n, variant).n_vertices
 
 
 def survey_record(
@@ -62,24 +42,25 @@ def survey_record(
     exact_cap: int = DEFAULT_EXACT_CAP,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> dict:
-    g = variant_graph(n, variant)
-    rec = {"kind": "survey", "n": n, "variant": variant, **structure_fields(g)}
+    model = Decomposition.of(n, variant)
+    rec = {"kind": "survey", "n": n, "variant": variant, **structure_fields(model)}
     if structure_only:
         return rec
-    mat = eccentricity_matrix(g)
-    spec = spectrum(mat, "float", cluster_tol=cluster_tol)
-    rec.update(spectral_fields(mat, spec, rec["connected"]))
-    cert = integrality_certificate(mat) if g.n_vertices <= exact_cap else None
+    spec = spectrum(model, "float", cluster_tol=cluster_tol)
+    rec.update(spectral_fields(model, spec, rec["connected"]))
+    cert = class_certificate(model) if model.n_vertices <= exact_cap else None
     rec["integral"] = None if cert is None else cert.integral
     rec["residual"] = None if cert is None or cert.integral else cert.residual.text()
     return rec
 
 
 def _cache_key(n: int, variant: str, opts: dict) -> str:
-    # "eigensolver" names the solver behind the cached floats, so entries
-    # written by another solver are misses, not mixed into fresh records
+    # "eigensolver" and "engine" name the solver and the matrices behind the
+    # cached floats (the class model's k x k S, not the dense V x V E), so
+    # entries written by another solver or engine, which differ in float
+    # noise, are misses, not mixed into fresh records
     material = {"n": n, "variant": variant, "version": zdgecc.__version__,
-                "eigensolver": "eigh", **opts}
+                "eigensolver": "eigh", "engine": "class", **opts}
     blob = json.dumps(material, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 

@@ -164,6 +164,21 @@ def test_audit_expected_refutations_bad_file_exit_2(capsys, tmp_path, monkeypatc
     assert err.startswith("error: cannot read") and err.count("\n") == 1
 
 
+def test_audit_expected_refutations_checked_before_auditing(capsys, monkeypatch):
+    from zdgecc import claims
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an audit ran")
+
+    monkeypatch.setattr(claims, "audit", refuse)
+    code, out, err = run(
+        capsys, "audit", "--theorem", "all", "--expect-refutations", "n=8"
+    )
+    assert code == 2
+    assert out == ""
+    assert "ambiguous" in err
+
+
 def test_audit_unknown_theorem_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["audit", "--theorem", "7.7"])
@@ -229,6 +244,23 @@ def test_survey_cache_roundtrip(capsys, tmp_path):
         capsys, "survey", "--max-n", "30", "--cache", "--cache-dir", str(cache)
     )
     assert out1 == out2
+
+
+def test_survey_cache_entries_of_the_dense_engine_are_misses(tmp_path):
+    """An entry stored under the key material of the dense engine (no
+    "engine" field) differs in float noise, so it is recomputed."""
+    import hashlib
+
+    from zdgecc import survey
+
+    opts = {"structure_only": False, "exact_cap": 150, "cluster_tol": 1e-6}
+    material = {"n": 12, "variant": "zdg", "version": zdgecc.__version__,
+                "eigensolver": "eigh", **opts}
+    key = hashlib.sha256(json.dumps(material, sort_keys=True).encode()).hexdigest()
+    stale = {"kind": "survey", "n": 12, "variant": "zdg", "energy": "stale"}
+    (tmp_path / f"{key}.json").write_text(json.dumps(stale))
+    records = survey.run_survey(12, cache_dir=tmp_path)
+    assert records[-1] == survey.survey_record(12)
 
 
 def test_survey_cache_env_var(capsys, tmp_path, monkeypatch):
@@ -424,12 +456,12 @@ def test_survey_workers_clamped_to_cpu_count(monkeypatch):
     "argv", [("spectrum", "--n", "12"), ("survey", "--max-n", "12", "--workers", "2")]
 )
 def test_out_of_memory_exits_3_without_traceback(capsys, monkeypatch, argv):
-    from zdgecc import survey
+    from zdgecc import graphs
 
     def exhausted(n, variant):
         raise MemoryError("Unable to allocate 2.62 TiB for an array")
 
-    monkeypatch.setattr(survey, "variant_graph", exhausted)
+    monkeypatch.setattr(graphs.Decomposition, "of", exhausted)
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""
@@ -451,8 +483,8 @@ def test_max_power_must_be_non_negative(capsys):
         ("spectrum", "--n", str(2**63)),
     ],
 )
-def test_modulus_beyond_numpy_index_range_exits_3(capsys, argv):
-    code, out, err = run(capsys, *argv)
+def test_modulus_beyond_numpy_index_range_exits_3(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv, "--dump-matrix", str(tmp_path / "e.txt"))
     assert code == 3
     assert out == ""
     assert "too large to build in memory" in err

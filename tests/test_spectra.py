@@ -278,6 +278,12 @@ def test_energy_gap_not_applicable():
             energy_gap(n)
 
 
+@pytest.mark.parametrize("arg", [15.7, "15", 35.0, (5.0, 7), (5, "7"), [5, 7], None])
+def test_energy_gap_rejects_non_integers(arg):
+    with pytest.raises(NotApplicableError):
+        energy_gap(arg)
+
+
 @pytest.mark.parametrize(
     "arg, claim_id, params",
     [
