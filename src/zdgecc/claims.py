@@ -7,10 +7,10 @@ ground truth, the matrix order there, the claimed spectrum, energy value or
 bound, and the audit that checks it.  ``audit`` computes ground truth with
 the exact engine and compares, producing a Verified / Refuted /
 NotApplicable / MalformedClaim / Skipped verdict with machine-checkable
-evidence.  Ground truth is the class model (``graphs.Decomposition``) of the
-claim's variant, cached per modulus; only the tree theorems 4.1 and 4.2
-(the eccentricity matrix of a tree) and 5.3 (Z_p x Z_p) build a dense
-graph.
+evidence.  Each claim names its ground truth once: the class model
+(``graphs.Decomposition``, cached per modulus) of its graph, or a dense graph
+for the tree theorems 4.1 and 4.2 (the eccentricity matrix of a tree, built
+once per modulus for both) and 5.3 (Z_p x Z_p).
 
 A claim whose multiplicities cannot sum to the matrix order is reported as
 MalformedClaim before any numerical comparison; refutations always carry at
@@ -26,12 +26,12 @@ import functools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from zdgecc.eccentricity import eccentricity_matrix, is_irreducible
-from zdgecc.graphs import Decomposition, Graph, build_zdg, build_zdg_zpzp
+from zdgecc.graphs import Decomposition, Graph, build_zdg, build_zdg_zpzp, is_star, is_tree
 from zdgecc.number_theory import is_prime, primes_up_to
 from zdgecc.report import fmt_value, spectrum_json
 from zdgecc.spectra import DEFAULT_EXACT_CAP, Spectrum, spectrum
@@ -148,20 +148,27 @@ TREE = replace(COMPOSITE, enumerate=_tree_moduli)
 # theorem records
 
 
+def _zdg_model(n: int) -> Decomposition:
+    return Decomposition.of(n, "zdg")
+
+
+def _extended_model(n: int) -> Decomposition:
+    return Decomposition.of(n, "extended")
+
+
 def _zdg_order(n: int) -> int:
-    return Decomposition.of(n, "zdg").n_vertices
+    return _zdg_model(n).n_vertices
 
 
 @dataclass(frozen=True)
 class TheoremClaim:
-    """One theorem: its ground truth at modulus ``ring(params)`` is the class
-    model of ``variant`` there, or, where ``graph`` is set, that dense graph
-    (the tree theorems 4.1 and 4.2 and Z_p x Z_p), with
-    ``order(ring(params))`` vertices; ``payload`` is the claimed (value,
-    multiplicity, exact) triples (None where none are stated, MalformedClaim
-    where they are not real), energy value or gap bound; ``check`` audits an
-    applicable point within the exact cap at that modulus, returning
-    (verdict, evidence)."""
+    """One theorem: its ground truth at modulus ``ring(params)`` is
+    ``graph(ring(params))``, a class model or, for the tree theorems 4.1 and
+    4.2 and Z_p x Z_p, a dense graph, with ``order(ring(params))`` vertices;
+    ``payload`` is the claimed (value, multiplicity, exact) triples (None
+    where none are stated, MalformedClaim where they are not real), energy
+    value or gap bound; ``check`` audits an applicable point within the exact
+    cap at that modulus, returning (verdict, evidence)."""
 
     id: str
     kind: str  # spectrum | integrality | energy | gap | structure
@@ -170,8 +177,7 @@ class TheoremClaim:
     check: Callable[..., tuple[Verdict, dict]]
     source: str
     payload: Callable[[dict], object] | None = None
-    variant: str = "zdg"
-    graph: Callable[[int], Graph] | None = None
+    graph: Callable[[int], Decomposition | Graph] = _zdg_model
     order: Callable[[int], int] = _zdg_order
     eigenvalue_bound: Callable[[dict], int] | None = None
     asserts_complete: bool = False
@@ -355,11 +361,29 @@ def _compare_spectra(claimed: Spectrum, computed: Spectrum, tol: float) -> dict:
 
 
 def _ground_truth(claim: TheoremClaim, modulus: int):
-    """The eccentricity matrix a claim is checked against: its dense graph's,
-    or its class model."""
-    if claim.graph is not None:
-        return eccentricity_matrix(claim.graph(modulus))
-    return Decomposition.of(modulus, claim.variant)
+    """What a claim's spectrum is computed from: the class model of its
+    graph, or its dense graph's eccentricity matrix."""
+    truth = claim.graph(modulus)
+    return truth if isinstance(truth, Decomposition) else eccentricity_matrix(truth)
+
+
+class _TreeFacts(NamedTuple):
+    order: int
+    star: bool
+    irreducible: bool
+    least: float | None  # least eccentricity eigenvalue, on 3 or more vertices
+
+
+@functools.lru_cache(maxsize=None)
+def _tree_facts(graph: Callable[[int], Graph], n: int) -> _TreeFacts | None:
+    """What theorems 4.1 and 4.2 check of the dense tree ``graph(n)``, built
+    once per modulus for both; None where it is not a tree."""
+    g = graph(n)
+    if not is_tree(g):
+        return None
+    mat = eccentricity_matrix(g)
+    least = spectrum(mat, "float").least() if g.n_vertices >= 3 else None
+    return _TreeFacts(g.n_vertices, is_star(g), is_irreducible(mat), least)
 
 
 def _computed_spectrum(source, order: int, exact_cap: int) -> Spectrum:
@@ -478,7 +502,7 @@ def _gap_audit(claim: TheoremClaim, q: dict, modulus: int, tol: float, exact_cap
 
 
 def _tree_iff_2p_audit(claim: TheoremClaim, q: dict, modulus: int, tol: float, exact_cap: int):
-    model = Decomposition.of(modulus, claim.variant)
+    model = claim.graph(modulus)
     tree = model.tree
     is_2p = modulus % 2 == 0 and is_prime(modulus // 2)
     star = model.star
@@ -487,22 +511,21 @@ def _tree_iff_2p_audit(claim: TheoremClaim, q: dict, modulus: int, tol: float, e
 
 
 def _irreducible_audit(claim: TheoremClaim, q: dict, modulus: int, tol: float, exact_cap: int):
-    if not Decomposition.of(modulus, claim.variant).tree:
+    facts = _tree_facts(claim.graph, modulus)
+    if facts is None:
         return Verdict.NOT_APPLICABLE, {"reason": "zero-divisor graph is not a tree"}
-    irr = is_irreducible(_ground_truth(claim, modulus))
-    return _verdict(irr), {"irreducible": irr}
+    return _verdict(facts.irreducible), {"irreducible": facts.irreducible}
 
 
 def _least_eigenvalue_audit(claim: TheoremClaim, q: dict, modulus: int, tol: float, exact_cap: int):
-    model = Decomposition.of(modulus, claim.variant)
-    if not model.tree:
+    facts = _tree_facts(claim.graph, modulus)
+    if facts is None:
         return Verdict.NOT_APPLICABLE, {"reason": "zero-divisor graph is not a tree"}
-    if model.n_vertices < 3:
+    if facts.order < 3:
         return Verdict.NOT_APPLICABLE, {
             "reason": "statement excludes trees on fewer than 3 vertices"
         }
-    least = spectrum(_ground_truth(claim, modulus), "float").least()
-    star = model.star
+    least, star = facts.least, facts.star
     at_minus_two = abs(least + 2.0) <= 1e-9
     ev = {"least_eigenvalue": fmt_value(least), "star": star}
     return _verdict(least <= -2.0 + 1e-9 and (at_minus_two == star)), ev
@@ -620,7 +643,7 @@ CLAIMS: dict[str, TheoremClaim] = {c.id: c for c in (
         "5.2", "spectrum", PRIME_POWER, lambda q: q["p"] ** q["t"], _spectrum_audit,
         "Theorem 5.2: the extended zero-divisor graph of Z_{p^t} (t >= 2) is complete with integral spectrum",
         lambda q: [(-1, q["p"] ** (q["t"] - 1) - 2, True), (q["p"] ** (q["t"] - 1) - 2, 1, True)],
-        variant="extended", asserts_complete=True,
+        graph=_extended_model, asserts_complete=True,
     ),
     TheoremClaim(
         "5.3", "spectrum", PRIME, lambda q: q["p"], _spectrum_audit,

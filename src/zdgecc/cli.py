@@ -1,7 +1,8 @@
 """Command-line front end: single-n spectra, theorem audits, range surveys.
 
 Reports are read from the class model of (n, variant); only ``spectrum
---dump-graph``/``--dump-matrix`` builds the V x V graph and matrix.
+--dump-graph``/``--dump-matrix`` builds the V x V graph and matrix, and
+only for the dumped files.
 
 Exit codes: 0 success (audits: no unexpected refutations); 1 audit refutation
 mismatch; 2 usage or domain error (prime modulus, unknown theorem, a bad
@@ -53,8 +54,8 @@ def _render(items: list[dict], command: str, as_csv: bool, extra: dict | None = 
 
 
 def cmd_spectrum(args) -> int:
-    # the report is read from the class model; only a --dump-* request builds
-    # the V x V graph and matrix, and then the whole report comes from them
+    # the report is read from the class model; a --dump-* request builds the
+    # V x V graph and matrix for its files only, before anything is written
     try:
         model = Decomposition.of(args.n, args.variant)
     except EmptyGraphError as exc:
@@ -67,19 +68,24 @@ def cmd_spectrum(args) -> int:
     if method == "exact" and order > args.exact_cap:
         print(f"error: order {order} exceeds exact cap {args.exact_cap}", file=sys.stderr)
         return EXIT_OVERSIZE
-    source = graph = model
+    dumps = []
     if args.dump_graph or args.dump_matrix:
         graph = model.dense()
-        source = eccentricity_matrix(graph)
-    spec = spectrum(source, method, exact_cap=args.exact_cap, cluster_tol=args.cluster_tol)
-    structure = report.structure_fields(graph)
+        if args.dump_graph:
+            dumps.append((to_adjacency_text(graph), args.dump_graph))
+        if args.dump_matrix:
+            rows = eccentricity_matrix(graph).tolist()
+            dumps.append(("\n".join(" ".join(map(str, row)) for row in rows) + "\n",
+                          args.dump_matrix))
+    spec = spectrum(model, method, exact_cap=args.exact_cap, cluster_tol=args.cluster_tol)
+    structure = report.structure_fields(model)
     item = {
         "kind": "spectrum",
         "n": args.n,
         "variant": args.variant,
         "method": method,
         **structure,
-        **report.spectral_fields(source, spec, structure["connected"]),
+        **report.spectral_fields(model, spec, structure["connected"]),
         "spectrum": report.spectrum_json(spec),
     }
     exact_energy = spec.energy_exact()
@@ -89,13 +95,8 @@ def cmd_spectrum(args) -> int:
         item["char_poly"] = spec.certificate.poly.text()
         item["integral"] = spec.certificate.integral
         item["factorization"] = spec.certificate.text()
-    if args.dump_graph:
-        rc = _emit(to_adjacency_text(graph), args.dump_graph)
-        if rc:
-            return rc
-    if args.dump_matrix:
-        text = "\n".join(" ".join(str(v) for v in row) for row in source.tolist()) + "\n"
-        rc = _emit(text, args.dump_matrix)
+    for text, path in dumps:
+        rc = _emit(text, path)
         if rc:
             return rc
     return _emit(_render([item], _command_echo(args), args.csv), args.output)

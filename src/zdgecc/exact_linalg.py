@@ -303,9 +303,10 @@ def twin_partition(mat) -> tuple[tuple[int, ...], ...]:
     """
     arr = np.asarray(mat)
     agree = np.zeros(arr.shape)
-    # sorted(set(...)), not np.unique: plain np.unique imports numpy.ma
-    for v in sorted(set(arr.ravel().tolist())):
-        hits = (arr == v).astype(np.float64)
+    # return_inverse: plain np.unique imports numpy.ma
+    values, codes = np.unique(arr, return_inverse=True)
+    for code in range(len(values)):
+        hits = (codes == code).astype(np.float64)
         agree += hits @ hits.T
     diag = np.diagonal(arr)[:, None]
     twin = (agree == len(arr) - 2 * (arr != diag)) & (diag == diag.T)

@@ -12,8 +12,7 @@ import json
 from fractions import Fraction
 
 import zdgecc
-from zdgecc.eccentricity import is_irreducible
-from zdgecc.graphs import Decomposition, Graph, is_complete, is_connected, is_star, is_tree
+from zdgecc.graphs import Decomposition
 
 SCHEMA_VERSION = 1
 
@@ -38,27 +37,23 @@ def fmt_value(v) -> str:
     return fmt_float(v)
 
 
-def structure_fields(g: Graph | Decomposition) -> dict:
-    """The size and structure flags of a graph or of its class model."""
-    if isinstance(g, Decomposition):
-        flags = (g.connected, g.tree, g.star, g.complete)
-    else:
-        flags = (is_connected(g), is_tree(g), is_star(g), is_complete(g))
+def structure_fields(model: Decomposition) -> dict:
+    """The size and structure flags of a graph, read from its class model."""
     return {
-        "vertices": g.n_vertices,
-        "edges": g.n_edges,
-        **dict(zip(("connected", "tree", "star", "complete"), flags)),
+        "vertices": model.n_vertices,
+        "edges": model.n_edges,
+        "connected": model.connected,
+        "tree": model.tree,
+        "star": model.star,
+        "complete": model.complete,
     }
 
 
-def spectral_fields(source, spec, connected: bool) -> dict:
-    """Irreducibility of the eccentricity matrix (dense, or a class model's)
-    and the spectral statistics of its spectrum."""
-    irreducible = (
-        source.irreducible if isinstance(source, Decomposition) else is_irreducible(source)
-    )
+def spectral_fields(model: Decomposition, spec, connected: bool) -> dict:
+    """Irreducibility of a class model's eccentricity matrix and the
+    spectral statistics of its spectrum."""
     fields = {
-        "irreducible": irreducible,
+        "irreducible": model.irreducible,
         "energy": fmt_float(spec.energy()),
         "spectral_radius": fmt_float(spec.spectral_radius()),
         "least_eigenvalue": fmt_float(spec.least()),

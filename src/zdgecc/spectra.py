@@ -17,6 +17,7 @@ the exact path reads ``eccentricity.class_certificate``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -271,6 +272,11 @@ class GapResult:
     within_bound: bool
 
 
+def _is_integer(x) -> bool:
+    """An integer of any integral type (numpy's too), but not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def energy_gap(arg, *, exact_cap: int = DEFAULT_EXACT_CAP) -> GapResult:
     """Absolute eccentricity-energy gap between a zero-divisor graph and its
     complement, with the family bound.
@@ -282,10 +288,11 @@ def energy_gap(arg, *, exact_cap: int = DEFAULT_EXACT_CAP) -> GapResult:
     """
     from zdgecc.claims import CLAIMS  # claims imports this module
 
-    if isinstance(arg, tuple) and len(arg) == 2 and all(isinstance(p, int) for p in arg):
-        p1, p2 = arg
+    if isinstance(arg, tuple) and len(arg) == 2 and all(map(_is_integer, arg)):
+        p1, p2 = map(int, arg)
         claim_id, params = "6.3", {"p1": p1, "p2": p2}
-    elif isinstance(arg, int):
+    elif _is_integer(arg):
+        arg = int(arg)
         fac = factorize(arg).factors if arg >= 2 else ()
         primes, exponents = [p for p, _ in fac], [a for _, a in fac]
         if exponents == [1, 1]:
@@ -304,8 +311,8 @@ def energy_gap(arg, *, exact_cap: int = DEFAULT_EXACT_CAP) -> GapResult:
         raise NotApplicableError(f"{arg!r}: theorem {claim_id} {why}")
     n = claim.ring(params)
     e_g, e_gc = (
-        spectrum(Decomposition.of(n, v), "auto", exact_cap=exact_cap).energy()
-        for v in (claim.variant, "complement")
+        spectrum(model, "auto", exact_cap=exact_cap).energy()
+        for model in (claim.graph(n), Decomposition.of(n, "complement"))
     )
     gap = abs(e_g - e_gc)
     bound = claim.payload(params)

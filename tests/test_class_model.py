@@ -12,9 +12,10 @@ import pytest
 
 from zdgecc.eccentricity import class_certificate, eccentricity_matrix, is_irreducible
 from zdgecc.exact_linalg import integrality_certificate
-from zdgecc.graphs import VARIANTS, Decomposition, Graph, build_zdg
+from zdgecc.graphs import (
+    VARIANTS, Decomposition, Graph, build_zdg, is_complete, is_connected, is_star, is_tree,
+)
 from zdgecc.number_theory import is_prime
-from zdgecc.report import structure_fields
 from zdgecc.spectra import _float_pairs, eigenvalues_symmetric
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -29,7 +30,9 @@ def test_class_model_agrees_with_dense_engine_up_to_200(variant):
         g = model.dense()
         mat = eccentricity_matrix(g)
         case = (n, variant)
-        assert structure_fields(model) == structure_fields(g), case
+        assert (model.n_vertices, model.n_edges) == (g.n_vertices, g.n_edges), case
+        flags = (model.connected, model.tree, model.star, model.complete)
+        assert flags == (is_connected(g), is_tree(g), is_star(g), is_complete(g)), case
         assert model.irreducible == is_irreducible(mat), case
         # E is C on every pair of distinct vertices, class by class
         cls = np.searchsorted(model.divisors, np.gcd(g.labels, n))

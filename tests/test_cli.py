@@ -79,6 +79,17 @@ def test_spectrum_dump_matrix(capsys, tmp_path):
     assert path.read_text() == "0 1 2\n1 0 1\n2 1 0\n"
 
 
+@pytest.mark.parametrize("variant", ["zdg", "extended", "complement"])
+def test_spectrum_report_does_not_depend_on_dumps(capsys, tmp_path, variant):
+    argv = ("spectrum", "--n", "500", "--variant", variant, "--method", "float")
+    plain = run_json(capsys, *argv)["items"]
+    dumped = run_json(
+        capsys, *argv, "--dump-graph", str(tmp_path / "g.txt"),
+        "--dump-matrix", str(tmp_path / "m.txt"),
+    )["items"]
+    assert dumped == plain
+
+
 def test_spectrum_csv(capsys):
     code, out, err = run(capsys, "spectrum", "--n", "8", "--csv")
     assert code == 0

@@ -278,10 +278,19 @@ def test_energy_gap_not_applicable():
             energy_gap(n)
 
 
-@pytest.mark.parametrize("arg", [15.7, "15", 35.0, (5.0, 7), (5, "7"), [5, 7], None])
+@pytest.mark.parametrize(
+    "arg", [15.7, "15", 35.0, (5.0, 7), (5, "7"), [5, 7], None, True, (True, 7), np.bool_(1)]
+)
 def test_energy_gap_rejects_non_integers(arg):
     with pytest.raises(NotApplicableError):
         energy_gap(arg)
+
+
+@pytest.mark.parametrize(
+    "arg, plain", [(np.int64(35), 35), (np.int32(27), 27), ((np.int64(5), np.uint8(7)), (5, 7))]
+)
+def test_energy_gap_accepts_numpy_integers(arg, plain):
+    assert energy_gap(arg) == energy_gap(plain)
 
 
 @pytest.mark.parametrize(
