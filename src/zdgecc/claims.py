@@ -8,9 +8,9 @@ bound, and the audit that checks it.  ``audit`` computes ground truth with
 the exact engine and compares, producing a Verified / Refuted /
 NotApplicable / MalformedClaim / Skipped verdict with machine-checkable
 evidence.  Each claim names its ground truth once: the class model
-(``graphs.Decomposition``, cached per modulus) of its graph, or a dense graph
-for the tree theorems 4.1 and 4.2 (the eccentricity matrix of a tree, built
-once per modulus for both) and 5.3 (Z_p x Z_p).
+(``graphs.Decomposition``, cached per modulus) of its graph, which also
+decides the tree theorems 4.1 and 4.2, or the dense graph of Z_p x Z_p for
+5.3.
 
 A claim whose multiplicities cannot sum to the matrix order is reported as
 MalformedClaim before any numerical comparison; refutations always carry at
@@ -26,12 +26,12 @@ import functools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
-from zdgecc.eccentricity import eccentricity_matrix, is_irreducible
-from zdgecc.graphs import Decomposition, Graph, build_zdg, build_zdg_zpzp, is_star, is_tree
+from zdgecc.eccentricity import eccentricity_matrix
+from zdgecc.graphs import Decomposition, Graph, build_zdg_zpzp
 from zdgecc.number_theory import is_prime, primes_up_to
 from zdgecc.report import fmt_value, spectrum_json
 from zdgecc.spectra import DEFAULT_EXACT_CAP, Spectrum, spectrum
@@ -163,8 +163,8 @@ def _zdg_order(n: int) -> int:
 @dataclass(frozen=True)
 class TheoremClaim:
     """One theorem: its ground truth at modulus ``ring(params)`` is
-    ``graph(ring(params))``, a class model or, for the tree theorems 4.1 and
-    4.2 and Z_p x Z_p, a dense graph, with ``order(ring(params))`` vertices;
+    ``graph(ring(params))``, a class model or, for Z_p x Z_p, a dense graph,
+    with ``order(ring(params))`` vertices;
     ``payload`` is the claimed (value, multiplicity, exact) triples (None
     where none are stated, MalformedClaim where they are not real), energy
     value or gap bound; ``check`` audits an applicable point within the exact
@@ -367,25 +367,6 @@ def _ground_truth(claim: TheoremClaim, modulus: int):
     return truth if isinstance(truth, Decomposition) else eccentricity_matrix(truth)
 
 
-class _TreeFacts(NamedTuple):
-    order: int
-    star: bool
-    irreducible: bool
-    least: float | None  # least eccentricity eigenvalue, on 3 or more vertices
-
-
-@functools.lru_cache(maxsize=None)
-def _tree_facts(graph: Callable[[int], Graph], n: int) -> _TreeFacts | None:
-    """What theorems 4.1 and 4.2 check of the dense tree ``graph(n)``, built
-    once per modulus for both; None where it is not a tree."""
-    g = graph(n)
-    if not is_tree(g):
-        return None
-    mat = eccentricity_matrix(g)
-    least = spectrum(mat, "float").least() if g.n_vertices >= 3 else None
-    return _TreeFacts(g.n_vertices, is_star(g), is_irreducible(mat), least)
-
-
 def _computed_spectrum(source, order: int, exact_cap: int) -> Spectrum:
     spec = spectrum(source, "exact", exact_cap=exact_cap)
     # sanity preflight: trace zero and multiplicity sum
@@ -511,21 +492,21 @@ def _tree_iff_2p_audit(claim: TheoremClaim, q: dict, modulus: int, tol: float, e
 
 
 def _irreducible_audit(claim: TheoremClaim, q: dict, modulus: int, tol: float, exact_cap: int):
-    facts = _tree_facts(claim.graph, modulus)
-    if facts is None:
+    model = claim.graph(modulus)
+    if not model.tree:
         return Verdict.NOT_APPLICABLE, {"reason": "zero-divisor graph is not a tree"}
-    return _verdict(facts.irreducible), {"irreducible": facts.irreducible}
+    return _verdict(model.irreducible), {"irreducible": model.irreducible}
 
 
 def _least_eigenvalue_audit(claim: TheoremClaim, q: dict, modulus: int, tol: float, exact_cap: int):
-    facts = _tree_facts(claim.graph, modulus)
-    if facts is None:
+    model = claim.graph(modulus)
+    if not model.tree:
         return Verdict.NOT_APPLICABLE, {"reason": "zero-divisor graph is not a tree"}
-    if facts.order < 3:
+    if model.n_vertices < 3:
         return Verdict.NOT_APPLICABLE, {
             "reason": "statement excludes trees on fewer than 3 vertices"
         }
-    least, star = facts.least, facts.star
+    least, star = spectrum(model, "float").least(), model.star
     at_minus_two = abs(least + 2.0) <= 1e-9
     ev = {"least_eigenvalue": fmt_value(least), "star": star}
     return _verdict(least <= -2.0 + 1e-9 and (at_minus_two == star)), ev
@@ -623,12 +604,10 @@ CLAIMS: dict[str, TheoremClaim] = {c.id: c for c in (
     TheoremClaim(
         "4.1", "structure", TREE, lambda q: q["n"], _least_eigenvalue_audit,
         "Theorem 4.1: least eccentricity eigenvalue of a tree (not P2) is <= -2, equal iff the tree is a star",
-        graph=build_zdg,
     ),
     TheoremClaim(
         "4.2", "structure", TREE, lambda q: q["n"], _irreducible_audit,
         "Theorem 4.2: the eccentricity matrix of a tree is irreducible",
-        graph=build_zdg,
     ),
     TheoremClaim(
         "4.3", "structure", COMPOSITE, lambda q: q["n"], _tree_iff_2p_audit,

@@ -22,7 +22,7 @@ from pathlib import Path
 from zdgecc import claims, report, survey
 from zdgecc.eccentricity import eccentricity_matrix
 from zdgecc.graphs import Decomposition, EmptyGraphError, to_adjacency_text
-from zdgecc.spectra import DEFAULT_CLUSTER_TOL, DEFAULT_EXACT_CAP, spectrum
+from zdgecc.spectra import DEFAULT_CLUSTER_TOL, DEFAULT_EXACT_CAP, OversizeError, spectrum
 
 EXIT_OK = 0
 EXIT_AUDIT_MISMATCH = 1
@@ -61,13 +61,13 @@ def cmd_spectrum(args) -> int:
     except EmptyGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    order = model.n_vertices
-    method = args.method
-    if method == "auto":
-        method = "exact" if order <= args.exact_cap else "float"
-    if method == "exact" and order > args.exact_cap:
-        print(f"error: order {order} exceeds exact cap {args.exact_cap}", file=sys.stderr)
+    try:
+        spec = spectrum(model, args.method, exact_cap=args.exact_cap,
+                        cluster_tol=args.cluster_tol)
+    except OversizeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_OVERSIZE
+    method = "exact" if spec.certificate is not None else "float"
     dumps = []
     if args.dump_graph or args.dump_matrix:
         graph = model.dense()
@@ -77,7 +77,6 @@ def cmd_spectrum(args) -> int:
             rows = eccentricity_matrix(graph).tolist()
             dumps.append(("\n".join(" ".join(map(str, row)) for row in rows) + "\n",
                           args.dump_matrix))
-    spec = spectrum(model, method, exact_cap=args.exact_cap, cluster_tol=args.cluster_tol)
     structure = report.structure_fields(model)
     item = {
         "kind": "spectrum",
@@ -233,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--exact-cap", type=int, default=DEFAULT_EXACT_CAP,
-                       help="largest matrix order for exact arithmetic")
+        p.add_argument("--exact-cap", type=_nonnegative_int, default=DEFAULT_EXACT_CAP,
+                       help="largest matrix order (>= 0) for exact arithmetic")
         p.add_argument("--csv", action="store_true", help="flat CSV instead of JSON")
         p.add_argument("--output", help="write the report here instead of stdout")
 

@@ -5,6 +5,10 @@ min(e(u), e(v)) and zeroes it otherwise.  For disconnected graphs the matrix
 is assembled per connected component (block diagonal, cross-component entries
 zero, isolated vertices contributing zero rows); this matches how the
 disconnected complements of zero-divisor graphs are treated throughout.
+
+These functions are the one eccentricity engine: a class model
+(``graphs.Decomposition``) runs them on its two-vertex-per-class sample, and
+``class_certificate`` reads its twin classes off that sample's matrix.
 """
 
 from __future__ import annotations
@@ -70,62 +74,19 @@ def is_irreducible(mat: np.ndarray) -> bool:
     return bool(_reachable(mat != 0, 0).all())
 
 
-def class_eccentricity_matrix(model: Decomposition) -> np.ndarray:
-    """The eccentricity matrix of a class model at class level (int64, k x k):
-    entry (d, e), d != e, is E's value between classes d and e, and diagonal
-    entry d is c_d, E's value between two vertices of class d (0 for a class
-    of one vertex).
-
-    Class distances come from BFS on the skeleton's k nodes.  Inside class d
-    the distance is 1 with a loop, 2 when d has a neighbour class and
-    unreachable otherwise; it counts towards the class's eccentricity only
-    when the class has more than one vertex.  An entry is kept iff it equals
-    the smaller of the two eccentricities, per component as in
-    ``eccentricity_matrix``.
-    """
-    dist = distances(model.skeleton)
-    inner = np.where(np.diagonal(model.adj), 1, np.where((dist > 0).any(axis=1), 2, 0))
-    np.fill_diagonal(dist, np.where([m > 1 for m in model.sizes], inner, 0))
-    ecc = dist.max(axis=1)
-    mins = np.minimum.outer(ecc, ecc)
-    return np.where((dist > 0) & (dist == mins), dist, 0).astype(np.int64)
-
-
-def class_is_irreducible(model: Decomposition) -> bool:
-    """``is_irreducible`` of the model's eccentricity matrix: the class
-    support must be connected, and a single class also needs c != 0 or one
-    vertex."""
-    support = model.ecc != 0
-    if len(support) == 1:
-        return bool(support[0, 0]) or model.sizes[0] == 1
-    return bool(_reachable(support, 0).all())
-
-
-def _class_twins(ecc: np.ndarray, sizes, d: int, e: int) -> bool:
-    """Whether the vertices of classes d != e are twins as rows of E: they
-    agree on every other class, and their common entry is c_d (when class d
-    has two vertices or more) and c_e (likewise)."""
-    rest = np.ones(len(sizes), dtype=bool)
-    rest[[d, e]] = False
-    c = ecc[d, e]
-    return (
-        bool((ecc[d, rest] == ecc[e, rest]).all())
-        and (sizes[d] == 1 or ecc[d, d] == c)
-        and (sizes[e] == 1 or ecc[e, e] == c)
-    )
-
-
 def class_certificate(model: Decomposition) -> IntegralityCertificate:
     """``integrality_certificate`` of the model's eccentricity matrix, from
     the class data.
 
-    The twin blocks of E are unions of classes (twin classes are merged as
-    ``twin_partition`` merges rows), so the quotient and block factors are
-    those of the dense path and one ``char_poly`` runs on a matrix of the
-    same order.  Only a model of modest vertex count can be certified: each
-    block factor is expanded.
+    The twin blocks of E are unions of classes: classes d and e are merged
+    when their first vertices are twins in the sample, whose rows d and e
+    agree in every column but d and e (the sample's second vertices carry
+    each class's own entry c), as ``twin_partition`` merges rows.  So the
+    quotient and block factors are those of the dense path and one
+    ``char_poly`` runs on a matrix of the same order.  Only a model of
+    modest vertex count can be certified: each block factor is expanded.
     """
-    ecc, sizes = model.ecc, model.sizes
+    ecc, sizes, sample = model.ecc, model.sizes, model.sample_ecc
     k = len(sizes)
     # weights[d][e]: the sum of E over class e in a row of class d
     weights = [
@@ -134,7 +95,9 @@ def class_certificate(model: Decomposition) -> IntegralityCertificate:
     blocks: list[list[int]] = []
     for d in range(k):
         for block in blocks:
-            if _class_twins(ecc, sizes, block[0], d):
+            agree = sample[block[0]] == sample[d]
+            agree[[block[0], d]] = True
+            if agree.all():
                 block.append(d)
                 break
         else:

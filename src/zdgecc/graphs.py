@@ -8,8 +8,9 @@ reproducible.
 
 Every variant of Z_n is first a ``Decomposition``: its divisor classes,
 their sizes and their class adjacency, k = tau(n) - 2 classes whatever the
-vertex count.  Structure flags are read from it, and the ``V x V`` graph is
-only its dense expansion (``Decomposition.dense``).
+vertex count.  Structure flags are read from it, its eccentricity data from
+the dense engine run on its ``sample`` of at most 2k vertices, and the
+``V x V`` graph is only its dense expansion (``Decomposition.dense``).
 """
 
 from __future__ import annotations
@@ -227,8 +228,10 @@ class Decomposition:
     generalized join of its ``skeleton`` over those parts, and vertices of
     one class are twins.  Nothing here is V x V: sizes reach 10^11.
 
-    ``ecc`` and ``irreducible`` are the class-level eccentricity data (see
-    ``eccentricity.class_eccentricity_matrix``), computed once per model.
+    ``sample`` is the graph induced on a first vertex of every class and a
+    second vertex of every class of two or more; twins make its
+    eccentricity matrix ``sample_ecc`` hold every distance, eccentricity and
+    entry of E, so ``ecc`` and ``irreducible`` are read from it.
     """
 
     n: int
@@ -297,18 +300,47 @@ class Decomposition:
         return self.n_edges == v * (v - 1) // 2
 
     @functools.cached_property
-    def ecc(self) -> np.ndarray:
-        from zdgecc.eccentricity import class_eccentricity_matrix  # imports this module
+    def _seconds(self) -> tuple[int, ...]:
+        """The classes of two or more vertices, which the sample holds twice
+        (sizes pass 2^63, so compared as Python ints)."""
+        return tuple(d for d, m in enumerate(self.sizes) if m >= 2)
 
-        ecc = class_eccentricity_matrix(self)
+    @functools.cached_property
+    def sample(self) -> Graph:
+        """The graph induced on one vertex of every class, in class order,
+        then a second vertex of each class in ``_seconds``: at most 2k
+        vertices, labelled by position.  The vertices of a class are twins,
+        so a shortest path can take its inner vertices from distinct classes
+        other than its ends': distances and eccentricities here are those of
+        the full graph."""
+        cls = [*range(len(self.sizes)), *self._seconds]
+        return self._induced(cls, range(len(cls)))
+
+    @functools.cached_property
+    def sample_ecc(self) -> np.ndarray:
+        """The eccentricity matrix of ``sample``, read-only."""
+        from zdgecc.eccentricity import eccentricity_matrix  # imports this module
+
+        ecc = eccentricity_matrix(self.sample)
         ecc.setflags(write=False)  # shared by every caller of the cached model
         return ecc
 
     @functools.cached_property
-    def irreducible(self) -> bool:
-        from zdgecc.eccentricity import class_is_irreducible  # imports this module
+    def ecc(self) -> np.ndarray:
+        """E at class level (int64, k x k): entry (d, e), d != e, is E's value
+        between classes d and e, and diagonal entry d is c_d, E's value
+        between two vertices of class d (0 for a class of one vertex)."""
+        k, seconds = len(self.sizes), list(self._seconds)
+        ecc = self.sample_ecc[:k, :k].copy()
+        ecc[seconds, seconds] = self.sample_ecc[seconds, range(k, k + len(seconds))]
+        ecc.setflags(write=False)
+        return ecc
 
-        return class_is_irreducible(self)
+    @functools.cached_property
+    def irreducible(self) -> bool:
+        from zdgecc.eccentricity import is_irreducible  # imports this module
+
+        return is_irreducible(self.sample_ecc)
 
     @property
     def skeleton(self) -> Graph:
@@ -344,8 +376,13 @@ class Decomposition:
             raise MemoryError(f"a {order} x {order} adjacency exceeds numpy's index range")
         elems = np.arange(1, self.n, dtype=np.int64)
         gcds = np.gcd(elems, self.n)
-        labels = elems[gcds != 1]
         cls = np.searchsorted(np.array(self.divisors, dtype=np.int64), gcds[gcds != 1])
+        return self._induced(cls, elems[gcds != 1])
+
+    def _induced(self, cls, labels) -> Graph:
+        """The graph on one vertex per entry of ``cls`` (its class index),
+        labelled by ``labels``: vertices of classes d != e are adjacent iff
+        adj[d, e], two of one class iff its loop flag."""
         adj = self.adj[np.ix_(cls, cls)]
         np.fill_diagonal(adj, False)
         return Graph(labels, adj)

@@ -7,8 +7,8 @@ Exact mode reads every eigenvalue from the characteristic polynomial alone
 ones as certified real roots with exact multiplicities, rounded to floats.
 
 ``spectrum`` takes a dense matrix or a ``graphs.Decomposition``.  On a class
-model with sizes m and class eccentricity data C (c on its diagonal), the
-float path runs the eigensolver on the k x k matrix
+model with sizes m and class eccentricity data C (c on its diagonal, both
+read off the eccentricity matrix of the model's sample), the float path runs the eigensolver on the k x k matrix
 S = diag(sqrt m) C diag(sqrt m) - diag(c), which is similar to the quotient,
 and adds -c_d with multiplicity m_d - 1 per class (the generalized-join
 spectrum: Cardoso, de Freitas, Martins and Robbiano, Discrete Math., 2013);

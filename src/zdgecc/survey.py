@@ -17,23 +17,10 @@ from pathlib import Path
 
 import zdgecc
 from zdgecc.eccentricity import class_certificate
-from zdgecc.graphs import VARIANTS, Decomposition, Graph
+from zdgecc.graphs import VARIANTS, Decomposition
 from zdgecc.number_theory import is_prime
 from zdgecc.report import spectral_fields, structure_fields
 from zdgecc.spectra import DEFAULT_CLUSTER_TOL, DEFAULT_EXACT_CAP, spectrum
-
-
-def variant_graph(n: int, variant: str) -> Graph:
-    """The dense V x V graph of ``variant`` of Z_n: a public name for
-    ``Decomposition.of(n, variant).dense()``; no survey record builds it."""
-    return Decomposition.of(n, variant).dense()
-
-
-def variant_order(n: int, variant: str) -> int:
-    """Vertex count of ``variant_graph(n, variant)``: a public name for
-    ``Decomposition.of(n, variant).n_vertices``, read without building the
-    graph."""
-    return Decomposition.of(n, variant).n_vertices
 
 
 def survey_record(

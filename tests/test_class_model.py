@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from zdgecc import claims, exact_linalg
 from zdgecc.eccentricity import class_certificate, eccentricity_matrix, is_irreducible
-from zdgecc.exact_linalg import integrality_certificate
+from zdgecc.exact_linalg import char_poly, integrality_certificate
 from zdgecc.graphs import (
     VARIANTS, Decomposition, Graph, build_zdg, is_complete, is_connected, is_star, is_tree,
 )
@@ -80,3 +81,49 @@ def test_spectrum_of_two_to_the_63_exits_0():
     item = json.loads(out)["items"][0]
     assert item["vertices"] == 2**62 - 1
     assert sum(e["multiplicity"] for e in item["spectrum"]) == 2**62 - 1
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_sample_is_the_dense_engine_on_two_vertices_per_class(variant, monkeypatch):
+    """The sample's E is the dense E on the first two ring elements of each
+    class, and class_certificate hands char_poly the very matrix the dense
+    path does (its twin merges decide that matrix, not the certificate)."""
+    seen = []
+
+    def spy(mat):
+        seen.append(np.asarray(mat).tolist())
+        return char_poly(mat)
+
+    monkeypatch.setattr(exact_linalg, "char_poly", spy)
+    for n in range(4, 201):
+        if is_prime(n):
+            continue
+        model = Decomposition.of(n, variant)
+        g = model.dense()
+        mat = eccentricity_matrix(g)
+        case = (n, variant)
+        members = [np.flatnonzero(np.gcd(g.labels, n) == d)[:2] for d in model.divisors]
+        picked = [m[0] for m in members] + [m[1] for m in members if len(m) == 2]
+        assert np.array_equal(eccentricity_matrix(model.sample), mat[np.ix_(picked, picked)]), case
+        seen.clear()
+        class_certificate(model)
+        integrality_certificate(mat)
+        assert len(seen) == 2 and seen[0] == seen[1], case
+
+
+def test_tree_audits_agree_with_the_dense_engine_up_to_500():
+    trees = claims._tree_ns(500)
+    assert trees[:4] == (4, 6, 8, 9)
+    for n in trees:
+        g = build_zdg(n)
+        mat = eccentricity_matrix(g)
+        assert is_tree(g), n
+        least = claims.audit("4.1", {"n": n})
+        irreducible = claims.audit("4.2", {"n": n})
+        assert irreducible.evidence == {"irreducible": is_irreducible(mat)}, n
+        if g.n_vertices < 3:
+            assert least.verdict is claims.Verdict.NOT_APPLICABLE, n
+            continue
+        assert least.evidence["star"] == is_star(g), n
+        want = min(eigenvalues_symmetric(mat))
+        assert abs(float(least.evidence["least_eigenvalue"]) - want) <= 1e-9, n

@@ -490,6 +490,21 @@ def test_max_power_must_be_non_negative(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("spectrum", "--n", "12", "--method", "exact"),
+        ("audit", "--theorem", "3.2", "--primes", "3"),
+        ("survey", "--max-n", "12"),
+    ],
+)
+def test_exact_cap_must_be_non_negative(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--exact-cap", "-1"])
+    assert exc.value.code == 2
+    assert "--exact-cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("spectrum", "--n", str(2**62), "--variant", "extended"),
         ("spectrum", "--n", str(2**63)),
     ],

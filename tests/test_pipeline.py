@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +20,9 @@ from zdgecc.exact_linalg import (
     is_integral_spectrum,
     twin_partition,
 )
-from zdgecc.graphs import EmptyGraphError, build_zdg_zpzp
+from zdgecc.graphs import VARIANTS, Decomposition, EmptyGraphError, build_zdg_zpzp
 from zdgecc.number_theory import is_prime
 from zdgecc.spectra import spectrum
-from zdgecc.survey import VARIANTS, variant_graph, variant_order
 
 
 @pytest.fixture
@@ -64,7 +62,7 @@ def test_exact_spectrum_certificate_is_the_integrality_certificate():
         for n in range(4, 61):
             if is_prime(n):
                 continue
-            mat = eccentricity_matrix(variant_graph(n, variant))
+            mat = eccentricity_matrix(Decomposition.of(n, variant).dense())
             cert = spectrum(mat, "exact").certificate
             assert cert == is_integral_spectrum(mat)[1], (n, variant)
             assert cert.poly == char_poly(mat), (n, variant)
@@ -81,7 +79,7 @@ def test_certificate_polynomial_is_computed_on_the_twin_quotient(monkeypatch):
 
     monkeypatch.setattr(exact_linalg, "char_poly", spy)
     cases = [
-        (f"{variant} {n}", eccentricity_matrix(variant_graph(n, variant)))
+        (f"{variant} {n}", eccentricity_matrix(Decomposition.of(n, variant).dense()))
         for variant in VARIANTS
         for n in range(4, 61)
         if not is_prime(n)
@@ -93,9 +91,9 @@ def test_certificate_polynomial_is_computed_on_the_twin_quotient(monkeypatch):
         assert seen == [quotient_matrix(mat, Partition(twin_partition(mat)))], case
 
 
-def test_audit_catalogue_builds_each_tree_modulus_once(capsys, monkeypatch):
-    """Theorems 4.1 and 4.2 enumerate the tree moduli from one set of builds;
-    every verdict equals the benchmark's pinned verdicts."""
+def test_audit_catalogue_builds_no_dense_zdg(capsys, monkeypatch):
+    """Every theorem but 5.3 reads the class model, so the benchmark's audit
+    builds no dense Z_n graph; every verdict equals the pinned verdicts."""
     original = graphs.build_zdg
     built = []
 
@@ -106,15 +104,18 @@ def test_audit_catalogue_builds_each_tree_modulus_once(capsys, monkeypatch):
     for name, mod in list(sys.modules.items()):
         if name.startswith("zdgecc") and getattr(mod, "build_zdg", None) is original:
             monkeypatch.setattr(mod, "build_zdg", counting)
-    for claim_id, claim in claims.CLAIMS.items():
-        if claim.graph is original:
-            monkeypatch.setitem(claims.CLAIMS, claim_id, replace(claim, graph=counting))
+    dense = graphs.Decomposition.dense
+    expanded = []
+
+    def counting_dense(model):
+        expanded.append((model.n, model.variant))
+        return dense(model)
+
+    monkeypatch.setattr(graphs.Decomposition, "dense", counting_dense)
     claims._tree_ns.cache_clear()
     main(["audit", "--theorem", "all", "--primes-up-to", "7", "--exact-cap", "100"])
     items = json.loads(capsys.readouterr().out)["items"]
-    # only 4.1 and 4.2 build, once per tree modulus between them
-    assert sorted(built) == list(claims._tree_ns(100))
-    assert len(built) == 17
+    assert built == [] and expanded == []
     pins = Path(__file__).resolve().parents[1] / "perfbench" / "pins" / "audit-catalogue.json"
     got = {
         item["theorem"] + ":" + ";".join(f"{k}={v}" for k, v in sorted(item["params"].items())):
@@ -125,7 +126,7 @@ def test_audit_catalogue_builds_each_tree_modulus_once(capsys, monkeypatch):
 
 
 def test_float_spectrum_has_no_certificate():
-    mat = eccentricity_matrix(variant_graph(12, "zdg"))
+    mat = eccentricity_matrix(Decomposition.of(12, "zdg").dense())
     assert spectrum(mat, "float").certificate is None
 
 
@@ -141,10 +142,11 @@ def test_variant_order_counts_vertices_without_building():
         for n in range(4, 121):
             if is_prime(n):
                 continue
-            assert variant_order(n, variant) == variant_graph(n, variant).n_vertices
+            model = Decomposition.of(n, variant)
+            assert model.n_vertices == model.dense().n_vertices
         for n in (-5, 0, 1, 2, 3, 7, 97):
             with pytest.raises(EmptyGraphError):
-                variant_order(n, variant)
+                Decomposition.of(n, variant).n_vertices
 
 
 def test_dense_exact_path_does_not_import_numpy_ma():

@@ -348,13 +348,13 @@ def test_exact_spectrum_ignores_cluster_tol():
 
 
 def test_exact_and_float_spectra_agree_for_every_variant():
-    from zdgecc.survey import VARIANTS, variant_graph
+    from zdgecc.graphs import VARIANTS, Decomposition
 
     for variant in VARIANTS:
         for n in range(4, 61):
             if is_prime(n):
                 continue
-            mat = eccentricity_matrix(variant_graph(n, variant))
+            mat = eccentricity_matrix(Decomposition.of(n, variant).dense())
             exact = spectrum(mat, "exact")
             flt = spectrum(mat, "float")
             assert [e.multiplicity for e in exact.entries] == [
