@@ -7,8 +7,7 @@ zero, isolated vertices contributing zero rows); this matches how the
 disconnected complements of zero-divisor graphs are treated throughout.
 
 These functions are the one eccentricity engine: a class model
-(``graphs.Decomposition``) runs them on its two-vertex-per-class sample, and
-``class_certificate`` reads its twin classes off that sample's matrix.
+(``graphs.Decomposition``) runs them on its two-vertex-per-class sample.
 """
 
 from __future__ import annotations
@@ -19,13 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from zdgecc.exact_linalg import (
-    EquitabilityError,
-    IntegralityCertificate,
-    _equitable_quotient,
-    quotient_certificate,
-)
-from zdgecc.graphs import Decomposition, Graph, _reachable, distances
+from zdgecc.exact_linalg import EquitabilityError, _equitable_quotient  # quotient_matrix raises it
+from zdgecc.graphs import Graph, _reachable, distances
 
 
 @dataclass(frozen=True)
@@ -72,44 +66,6 @@ def is_irreducible(mat: np.ndarray) -> bool:
     if mat.shape[0] == 0:
         return False
     return bool(_reachable(mat != 0, 0).all())
-
-
-def class_certificate(model: Decomposition) -> IntegralityCertificate:
-    """``integrality_certificate`` of the model's eccentricity matrix, from
-    the class data.
-
-    The twin blocks of E are unions of classes: classes d and e are merged
-    when their first vertices are twins in the sample, whose rows d and e
-    agree in every column but d and e (the sample's second vertices carry
-    each class's own entry c), as ``twin_partition`` merges rows.  So the
-    quotient and block factors are those of the dense path and one
-    ``char_poly`` runs on a matrix of the same order.  Only a model of
-    modest vertex count can be certified: each block factor is expanded.
-    """
-    ecc, sizes, sample = model.ecc, model.sizes, model.sample_ecc
-    k = len(sizes)
-    # weights[d][e]: the sum of E over class e in a row of class d
-    weights = [
-        [int(ecc[d, e]) * (sizes[e] - (d == e)) for e in range(k)] for d in range(k)
-    ]
-    blocks: list[list[int]] = []
-    for d in range(k):
-        for block in blocks:
-            agree = sample[block[0]] == sample[d]
-            agree[[block[0], d]] = True
-            if agree.all():
-                block.append(d)
-                break
-        else:
-            blocks.append([d])
-    quotient = [[sum(weights[a[0]][e] for e in b) for b in blocks] for a in blocks]
-    factors: dict[int, int] = {}
-    for block in blocks:
-        size = sum(sizes[d] for d in block)
-        if size > 1:
-            root = -int(ecc[block[0], block[-1]])
-            factors[root] = factors.get(root, 0) + size - 1
-    return quotient_certificate(quotient, factors, max(sum(row) for row in weights))
 
 
 def quotient_matrix(mat: np.ndarray, partition: Partition) -> list[list[Fraction]]:

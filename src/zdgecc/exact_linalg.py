@@ -13,8 +13,8 @@ are implemented here independently, so the two routes cross-validate.
 twin blocks (``twin_partition``) form an equitable partition, checked on every
 call, whose ``k x k`` quotient carries every eigenvalue but the block factors
 ``(x - d + c)^(m-1)`` (Godsil and Royle, *Algebraic Graph Theory*, ch. 9).
-``quotient_certificate`` is the tail it shares with the class model, which
-hands over its quotient and block factors without any ``V x V`` matrix.
+Given row weights it certifies the blow-up the rows stand for, which is how a
+class model is certified from its sample without any ``V x V`` matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from sympy import ZZ, Poly, Symbol, integer_nthroot
+from sympy import ZZ, Poly, Symbol
 from sympy.polys.matrices import DomainMatrix
 
 RatMatrix = list[list[Fraction]]
@@ -166,29 +166,13 @@ def char_poly(mat) -> IntPoly:
     return IntPoly.from_descending([int(c) for c in dm.charpoly()])
 
 
-def _fujiwara_bound(poly: IntPoly) -> int:
-    """Integer bound on the absolute value of every root of a monic polynomial:
-    Fujiwara's 2 * max(|a_{d-1}|, |a_{d-2}|^(1/2), ..., |a_0 / 2|^(1/d))
-    (Fujiwara 1916), with each root rounded up in exact integer arithmetic."""
-    d = poly.degree
-    out = 0
-    for k in range(1, d + 1):
-        m = abs(poly.coeffs[d - k]) if k < d else (abs(poly.coeffs[0]) + 1) // 2
-        root, exact = integer_nthroot(m, k)
-        out = max(out, root if exact else root + 1)
-    return 2 * out
+def integer_roots(poly: IntPoly, bound: int) -> tuple[list[tuple[int, int]], IntPoly]:
+    """All integer roots in [-bound, bound] of a monic polynomial, with
+    multiplicities, plus the residual.
 
-
-def integer_roots(
-    poly: IntPoly, bound: int | None = None
-) -> tuple[list[tuple[int, int]], IntPoly]:
-    """All integer roots of a monic polynomial, with multiplicities, plus residual.
-
-    The search is exhaustive over [-bound, bound]: the given bound, or
-    Fujiwara's root bound of the polynomial when none is given.  A nonzero
-    integer root divides the constant term, so only its divisors are
-    deflated, and every extraction is verified by exact synthetic division.
-    The scan takes time linear in the bound.
+    A nonzero integer root divides the constant term, so only its divisors
+    are deflated, and every extraction is verified by exact synthetic
+    division.  The scan takes time linear in the bound.
     """
     if not poly.is_monic:
         raise ValueError("integer_roots requires a monic polynomial")
@@ -197,8 +181,6 @@ def integer_roots(
     while work.degree > 0 and work.coeffs[0] == 0:
         work, _ = work.deflate(0)
         found[0] = found.get(0, 0) + 1
-    if bound is None:
-        bound = _fujiwara_bound(work)
     for cand in range(-int(bound), int(bound) + 1):
         while work.degree > 0 and cand and work.coeffs[0] % cand == 0:
             quo, rem = work.deflate(cand)
@@ -317,15 +299,33 @@ def twin_partition(mat) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(b) for b in blocks.values())
 
 
-def _equitable_quotient(mat, blocks) -> np.ndarray:
+def _equitable_quotient(mat, blocks, sizes=None) -> np.ndarray:
     """Block row-sum matrix (int64) of an equitable partition of an integer
-    matrix, else EquitabilityError naming the first offending block pair."""
+    matrix, else EquitabilityError naming the first offending block pair.
+
+    Row i stands for ``sizes[i]`` twins of itself (one by default), so its
+    sum into its own block gains (sizes[i] - 1) * (c - d), c the block's
+    entry between two of its rows and d the row's diagonal entry.  A block
+    standing for no row, or for several rows but holding one (its c unseen),
+    raises ValueError.
+    """
     arr = _integer_matrix(mat)
+    sizes = np.ones(len(arr), dtype=np.int64) if sizes is None else np.asarray(sizes, dtype=np.int64)
+    if sizes.shape != (len(arr),):
+        raise ValueError(f"{sizes.size} sizes for {len(arr)} rows")
     owner = np.empty(len(arr), dtype=np.int64)  # block index of each row
     for a, block in enumerate(blocks):
         owner[list(block)] = a
-    sums = arr @ np.eye(len(blocks), dtype=np.int64)[owner]
+    member = np.eye(len(blocks), dtype=np.int64)[owner]
+    totals = sizes @ member
+    wrong = (totals == 0) | ((member.sum(axis=0) == 1) & (totals > 1))
+    if wrong.any():
+        a = int(wrong.argmax())
+        raise ValueError(f"block {a} holds {len(blocks[a])} rows standing for {totals[a]}")
     reps = [b[0] for b in blocks]
+    c = arr[reps, [b[len(b) > 1] for b in blocks]]  # a one-row block reads d: c - d = 0
+    sums = arr @ (sizes[:, None] * member)
+    sums += member * ((sizes - 1) * (c[owner] - np.diagonal(arr)))[:, None]
     bad = sums != sums[reps][owner]
     if bad.any():
         i = int(owner[bad.any(axis=1)].min())
@@ -343,46 +343,41 @@ def _power_of_linear(root: int, m: int) -> IntPoly:
     return IntPoly(tuple(math.comb(m, k) * (-root) ** (m - k) for k in range(m + 1)))
 
 
-def quotient_certificate(quotient, factors: dict[int, int], bound: int) -> IntegralityCertificate:
-    """Factor det(xI - M) given an equitable partition of M: det(xI - Q) for
-    its quotient Q times (x - r)^m for each block factor r: m.
+def integrality_certificate(mat, sizes=None) -> IntegralityCertificate:
+    """Factor the exact characteristic polynomial of a symmetric integer
+    matrix, or of its blow-up in which row i stands for ``sizes[i]`` twins of
+    itself (a class model's sample: ``graphs.Decomposition.certificate``).
 
-    ``char_poly`` runs once, on Q, and its integer roots are searched in
-    [-bound, bound]; ``bound`` must bound every eigenvalue of M (the maximum
-    absolute row sum of M does).
+    The polynomial is computed once, on the twin quotient: with the blocks
+    of ``twin_partition`` as an equitable partition, det(xI - M) is
+    det(xI - Q) times (x - d_A + c_A)^(m_A - 1) for each block A standing
+    for m_A rows, with off-diagonal entry c_A and diagonal entry d_A, where
+    Q is the block row-sum matrix, checked equitable on every call (a matrix
+    without twins is its own quotient).  The root search is exhaustive:
+    every eigenvalue of Q lies within its maximum absolute row sum, which
+    bounds the candidate integers.  Each block factor is expanded, so only
+    a blow-up of modest order can be certified.
     """
+    arr = _integer_matrix(mat)
+    if not np.array_equal(arr, arr.T):
+        raise ValueError("integrality test expects a symmetric integer matrix")
+    sizes = [1] * len(arr) if sizes is None else [int(m) for m in sizes]
+    blocks = twin_partition(arr)
+    quotient = _equitable_quotient(arr, blocks, sizes)
+    factors: dict[int, int] = {}
+    for block in blocks:
+        mult = sum(sizes[i] for i in block) - 1
+        if mult > 0:
+            root = int(arr[block[0], block[0]] - arr[block[0], block[1]])
+            factors[root] = factors.get(root, 0) + mult
     poly = char_poly(quotient)
-    roots, residual = integer_roots(poly, bound=bound)
+    bound = int(np.abs(quotient).sum(axis=1).max()) if quotient.size else 0
+    roots, residual = integer_roots(poly, bound)
     found = dict(roots)
     for root, mult in sorted(factors.items()):
         found[root] = found.get(root, 0) + mult
         poly = poly * _power_of_linear(root, mult)
     return IntegralityCertificate(tuple(sorted(found.items())), residual, poly)
-
-
-def integrality_certificate(mat) -> IntegralityCertificate:
-    """Factor the exact characteristic polynomial of a symmetric integer matrix.
-
-    The polynomial is computed once, on the twin quotient: with the blocks
-    of ``twin_partition`` as an equitable partition, det(xI - M) is
-    det(xI - Q) times (x - d_A + c_A)^(|A| - 1) for each block A with
-    off-diagonal entry c_A and diagonal entry d_A, where Q is the block
-    row-sum matrix, checked equitable on every call (a matrix without twins
-    is its own quotient).  The root search is exhaustive: all eigenvalues of
-    a symmetric matrix lie within the maximum absolute row sum, which bounds
-    the candidate integers.
-    """
-    arr = _integer_matrix(mat)
-    if not np.array_equal(arr, arr.T):
-        raise ValueError("integrality test expects a symmetric integer matrix")
-    bound = int(np.abs(arr).sum(axis=1).max()) if arr.size else 0
-    blocks = twin_partition(arr)
-    twins: dict[int, int] = {}
-    for block in blocks:
-        if len(block) > 1:
-            root = int(arr[block[0], block[0]] - arr[block[0], block[1]])
-            twins[root] = twins.get(root, 0) + len(block) - 1
-    return quotient_certificate(_equitable_quotient(arr, blocks), twins, bound)
 
 
 def is_integral_spectrum(mat) -> tuple[bool, IntegralityCertificate]:

@@ -9,8 +9,10 @@ reproducible.
 Every variant of Z_n is first a ``Decomposition``: its divisor classes,
 their sizes and their class adjacency, k = tau(n) - 2 classes whatever the
 vertex count.  Structure flags are read from it, its eccentricity data from
-the dense engine run on its ``sample`` of at most 2k vertices, and the
-``V x V`` graph is only its dense expansion (``Decomposition.dense``).
+the dense engine run on its ``sample`` of at most 2k vertices, its exact
+certificate from ``exact_linalg.integrality_certificate`` run on that sample
+weighted by class size, and the ``V x V`` graph is only its dense expansion
+(``Decomposition.dense``).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from zdgecc.exact_linalg import IntegralityCertificate, integrality_certificate
 from zdgecc.number_theory import (
     ClassKind,
     DivisorClass,
@@ -231,7 +234,8 @@ class Decomposition:
     ``sample`` is the graph induced on a first vertex of every class and a
     second vertex of every class of two or more; twins make its
     eccentricity matrix ``sample_ecc`` hold every distance, eccentricity and
-    entry of E, so ``ecc`` and ``irreducible`` are read from it.
+    entry of E, so ``ecc``, ``irreducible`` and ``certificate`` are read
+    from it.
     """
 
     n: int
@@ -341,6 +345,15 @@ class Decomposition:
         from zdgecc.eccentricity import is_irreducible  # imports this module
 
         return is_irreducible(self.sample_ecc)
+
+    @functools.cached_property
+    def certificate(self) -> IntegralityCertificate:
+        """``integrality_certificate`` of E, from the sample: a first vertex
+        stands for its whole class, a second vertex for none (it only
+        witnesses the class's entry c), so ``char_poly`` runs once per
+        model, on the quotient the dense path would build."""
+        sizes = [*self.sizes, *[0] * len(self._seconds)]
+        return integrality_certificate(self.sample_ecc, sizes)
 
     @property
     def skeleton(self) -> Graph:

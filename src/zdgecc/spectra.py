@@ -12,7 +12,7 @@ read off the eccentricity matrix of the model's sample), the float path runs the
 S = diag(sqrt m) C diag(sqrt m) - diag(c), which is similar to the quotient,
 and adds -c_d with multiplicity m_d - 1 per class (the generalized-join
 spectrum: Cardoso, de Freitas, Martins and Robbiano, Discrete Math., 2013);
-the exact path reads ``eccentricity.class_certificate``.
+the exact path reads the model's ``certificate``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from zdgecc.eccentricity import class_certificate
 from zdgecc.exact_linalg import IntegralityCertificate, integrality_certificate, real_roots
 from zdgecc.graphs import Decomposition
 from zdgecc.number_theory import factorize
@@ -248,7 +247,7 @@ def spectrum(
         )
     if n > exact_cap:
         raise OversizeError(f"order {n} exceeds exact cap {exact_cap}")
-    cert = integrality_certificate(source) if model is None else class_certificate(model)
+    cert = integrality_certificate(source) if model is None else model.certificate
     entries = [SpectrumEntry(Fraction(r), m, True) for r, m in cert.roots]
     entries.extend(SpectrumEntry(v, m, False) for v, m in real_roots(cert.residual))
     entries.sort(key=lambda e: e.float_value)

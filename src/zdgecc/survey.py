@@ -16,7 +16,6 @@ import os
 from pathlib import Path
 
 import zdgecc
-from zdgecc.eccentricity import class_certificate
 from zdgecc.graphs import VARIANTS, Decomposition
 from zdgecc.number_theory import is_prime
 from zdgecc.report import spectral_fields, structure_fields
@@ -37,7 +36,7 @@ def survey_record(
         return rec
     spec = spectrum(model, "float", cluster_tol=cluster_tol)
     rec.update(spectral_fields(model, spec, rec["connected"]))
-    cert = class_certificate(model) if model.n_vertices <= exact_cap else None
+    cert = model.certificate if model.n_vertices <= exact_cap else None
     rec["integral"] = None if cert is None else cert.integral
     rec["residual"] = None if cert is None or cert.integral else cert.residual.text()
     return rec

@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from zdgecc import claims, exact_linalg
-from zdgecc.eccentricity import class_certificate, eccentricity_matrix, is_irreducible
-from zdgecc.exact_linalg import char_poly, integrality_certificate
+from zdgecc.eccentricity import eccentricity_matrix, is_irreducible
+from zdgecc.exact_linalg import EquitabilityError, char_poly, integrality_certificate
 from zdgecc.graphs import (
     VARIANTS, Decomposition, Graph, build_zdg, is_complete, is_connected, is_star, is_tree,
 )
 from zdgecc.number_theory import is_prime
-from zdgecc.spectra import _float_pairs, eigenvalues_symmetric
+from zdgecc.spectra import _float_pairs, eigenvalues_symmetric, spectrum
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -41,7 +41,7 @@ def test_class_model_agrees_with_dense_engine_up_to_200(variant):
         np.fill_diagonal(blocks, 0)
         assert np.array_equal(blocks, mat), case
         if g.n_vertices <= 150:
-            assert class_certificate(model) == integrality_certificate(mat), case
+            assert model.certificate == integrality_certificate(mat), case
         got = np.array([v for v, m in _float_pairs(model) for _ in range(m)])
         want = np.array(eigenvalues_symmetric(mat))
         assert (np.abs(got - want) <= 1e-9 * np.maximum(1, np.abs(want))).all(), case
@@ -86,8 +86,9 @@ def test_spectrum_of_two_to_the_63_exits_0():
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_sample_is_the_dense_engine_on_two_vertices_per_class(variant, monkeypatch):
     """The sample's E is the dense E on the first two ring elements of each
-    class, and class_certificate hands char_poly the very matrix the dense
-    path does (its twin merges decide that matrix, not the certificate)."""
+    class, and the model's certificate, weighted by class size, hands
+    char_poly the very matrix the dense path does."""
+    Decomposition.of.cache_clear()  # fresh models: none has a cached certificate
     seen = []
 
     def spy(mat):
@@ -106,9 +107,20 @@ def test_sample_is_the_dense_engine_on_two_vertices_per_class(variant, monkeypat
         picked = [m[0] for m in members] + [m[1] for m in members if len(m) == 2]
         assert np.array_equal(eccentricity_matrix(model.sample), mat[np.ix_(picked, picked)]), case
         seen.clear()
-        class_certificate(model)
+        model.certificate
         integrality_certificate(mat)
         assert len(seen) == 2 and seen[0] == seen[1], case
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_class_certificate_checks_its_partition_is_equitable(variant, monkeypatch):
+    """The class path builds its quotient with the dense path's checked
+    builder: a partition that is not the twin partition is caught."""
+    Decomposition.of.cache_clear()  # a fresh model: its certificate is not cached
+    monkeypatch.setattr(exact_linalg, "twin_partition", lambda mat: (tuple(range(len(mat))),))
+    with pytest.raises(EquitabilityError):
+        spectrum(Decomposition.of(12, variant), "exact")
+    Decomposition.of.cache_clear()  # drop the model built under the patch
 
 
 def test_tree_audits_agree_with_the_dense_engine_up_to_500():

@@ -124,20 +124,20 @@ def test_char_poly_rejects_non_integer():
 
 def test_integer_roots_no_roots():
     poly = IntPoly((-6, -4, 0, 1))  # x^3 - 4x - 6: -2 is not a root
-    roots, residual = integer_roots(poly)
+    roots, residual = integer_roots(poly, bound=6)  # an integer root divides 6
     assert roots == []
     assert residual == poly
 
 
 X2_MINUS_2 = IntPoly((-2, 0, 1))  # no integer root
 
-# (integer roots with multiplicities, residual factor, bound); without a
-# bound the search must still be exhaustive
+# (integer roots with multiplicities, residual factor, bound); a bound equal
+# to the largest root must find every root
 EXPANDED_PRODUCTS = [
     ([(-2, 8), (6, 1), (10, 1)], IntPoly((1,)), 20),
-    ([(10, 25), (11, 25), (12, 25), (13, 25)], X2_MINUS_2, None),
-    ([(-999, 5), (1000, 5), (1001, 5)], X2_MINUS_2, None),
-    ([(-2, 100), (50, 20)], X2_MINUS_2, None),
+    ([(10, 25), (11, 25), (12, 25), (13, 25)], X2_MINUS_2, 13),
+    ([(-999, 5), (1000, 5), (1001, 5)], X2_MINUS_2, 1001),
+    ([(-2, 100), (50, 20)], X2_MINUS_2, 50),
 ]
 
 
@@ -153,7 +153,7 @@ def test_integer_roots_expanded_product():
 
 
 def test_integer_roots_residual_quadratic():
-    roots, residual = integer_roots(IntPoly((-2, -11, 1)))
+    roots, residual = integer_roots(IntPoly((-2, -11, 1)), bound=2)
     assert roots == []
     assert residual.coeffs == (-2, -11, 1)
 
@@ -184,7 +184,7 @@ def test_integer_roots_zero_root():
 
 def test_integer_roots_requires_monic():
     with pytest.raises(ValueError):
-        integer_roots(IntPoly((1, 2)))
+        integer_roots(IntPoly((1, 2)), bound=2)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +225,16 @@ def test_integrality_certificate_factors_twin_blocks():
     cert = integrality_certificate(mat)
     assert cert.roots == ((1, 3), (5, 1))
     assert cert.poly == char_poly(mat)
+
+
+def test_integrality_certificate_rejects_sizes_no_block_can_stand_for():
+    pair = [[0, 1], [1, 0]]  # one twin block
+    # K_3: the second row stands for no vertex and only witnesses c = 1
+    assert integrality_certificate(pair, [3, 0]).text() == "(x + 1)^2 * (x - 2)"
+    with pytest.raises(ValueError, match="standing for 0"):
+        integrality_certificate(pair, [0, 0])
+    with pytest.raises(ValueError, match="holds 1 rows standing for 2"):
+        integrality_certificate([[0]], [2])  # no second row: c unseen
 
 
 def test_integrality_certificate_checks_its_partition_is_equitable(monkeypatch):

@@ -28,7 +28,8 @@ from zdgecc.spectra import spectrum
 @pytest.fixture
 def char_poly_orders(monkeypatch):
     """Orders of the matrices passed to char_poly, counted at every module
-    that binds it."""
+    that binds it, from fresh class models (none has a cached certificate)."""
+    Decomposition.of.cache_clear()
     original = exact_linalg.char_poly
     orders = []
 
@@ -55,6 +56,15 @@ def test_spectrum_command_computes_char_poly_once(capsys, char_poly_orders):
 def test_audit_computes_char_poly_once(char_poly_orders, claim_id, params, order):
     assert audit(claim_id, params).verdict is Verdict.VERIFIED
     assert char_poly_orders == [order]
+
+
+def test_energy_then_gap_audit_certify_each_model_once(char_poly_orders):
+    """6.1 reads the complement of Z_15, 6.3 the graph and its complement:
+    two distinct models, so char_poly runs twice, the complement's
+    certificate read from its cached model the second time."""
+    for claim_id in ("6.1", "6.3"):
+        assert audit(claim_id, {"p1": 3, "p2": 5}).verdict is Verdict.VERIFIED
+    assert char_poly_orders == [2, 2]  # each model's twin quotient has order 2
 
 
 def test_exact_spectrum_certificate_is_the_integrality_certificate():

@@ -47,7 +47,7 @@ def test_integer_roots_without_bound_return_the_chosen_roots(chosen):
         for _ in range(mult):
             poly = poly * IntPoly((-root, 1))
         expected[root] = expected.get(root, 0) + mult
-    roots, residual = integer_roots(poly)
+    roots, residual = integer_roots(poly, bound=60)  # every chosen root is within 60
     assert roots == sorted(expected.items())
     assert residual == no_real_root
 
@@ -92,6 +92,31 @@ def test_integrality_certificate_matches_the_dense_route(m):
     assert cert.roots == tuple(roots)
     assert cert.residual == residual
     assert cert.poly == poly
+
+
+@PROPERTY
+@given(st.one_of(symmetric_matrices(), symmetric_matrices(diagonal=True)), st.data())
+def test_weighted_certificate_is_the_certificate_of_the_blow_up(m, data):
+    """Row i with weight sizes[i] is sizes[i] twins of itself: two copies of
+    a row read its twin block's off-diagonal entry c, and a weight-0 row of
+    a block of two or more is dropped from the blow-up."""
+    twins = [block for block in twin_partition(m) if len(block) > 1]
+    sizes = [1] * len(m)
+    for block in twins:
+        drawn = data.draw(st.lists(st.integers(0, 3), min_size=len(block), max_size=len(block)))
+        drawn[0] = max(drawn[0], 1)  # a block stands for at least one row
+        for i, size in zip(block, drawn):
+            sizes[i] = size
+    rows = np.repeat(np.arange(len(m)), sizes)
+    blow_up = m[np.ix_(rows, rows)]
+    for block in twins:
+        for i in block:
+            copies = np.flatnonzero(rows == i)
+            blow_up[np.ix_(copies, copies)] = m[block[0], block[1]]
+            blow_up[copies, copies] = m[i, i]
+    cert = integrality_certificate(m, sizes)
+    assert cert == integrality_certificate(blow_up)
+    assert cert.poly == char_poly(blow_up)
 
 
 # Malformed argv grammar: each option may be missing or take a valid,
