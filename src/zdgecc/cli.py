@@ -14,6 +14,7 @@ memory; 4 unwritable output path.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -70,7 +71,8 @@ def cmd_spectrum(args) -> int:
     method = "exact" if spec.certificate is not None else "float"
     dumps = []
     if args.dump_graph or args.dump_matrix:
-        graph = model.dense()
+        # the boolean adjacency, and with the matrix its int64 E too
+        graph = model.dense(bytes_per_cell=9 if args.dump_matrix else 1)
         if args.dump_graph:
             dumps.append((to_adjacency_text(graph), args.dump_graph))
         if args.dump_matrix:
@@ -223,6 +225,7 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+@functools.cache  # built once per process; parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zdgecc",

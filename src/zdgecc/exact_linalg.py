@@ -15,12 +15,23 @@ call, whose ``k x k`` quotient carries every eigenvalue but the block factors
 ``(x - d + c)^(m-1)`` (Godsil and Royle, *Algebraic Graph Theory*, ch. 9).
 Given row weights it certifies the blow-up the rows stand for, which is how a
 class model is certified from its sample without any ``V x V`` matrix.
+
+The quotient is similar to a symmetric matrix, so its roots are real and
+each lies within a few ulps of one of that matrix's float eigenvalues
+(Weyl's inequality: Horn and Johnson, *Matrix Analysis*, ch. 4).  Those
+eigenvalues seed the roots: integers near them are deflated exactly, and the
+other roots are bracketed around them and certified by exact sign tests, so
+a float error can only send the certificate to the complete path (a bounded
+integer scan and sympy's root isolation), never make it wrong.  Real roots
+are reported as midpoints of cells of one fixed 2^-44 grid, so both paths
+give the same floats.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -200,49 +211,132 @@ def _sign_at(desc: list[int], num: int, den: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
+# Real roots are refined on one fixed dyadic grid of step 1/_GRID < 1e-13.
+# A root of a monic integer polynomial with no integer root is irrational, so
+# it is never a grid point: whichever route isolated it, it is reported as
+# the midpoint of the same grid cell.  A bracket (lo, hi) of grid indices
+# holds exactly one root strictly between lo / _GRID and hi / _GRID, with a
+# sign change between them when hi - lo > 1.
+_GRID = 1 << 44
+
+
+def _cell(desc: list[int], lo: int, hi: int) -> int:
+    """Left end of the grid cell that holds the root of bracket (lo, hi):
+    steps doubling out from the bracket's midpoint (a seeded bracket's
+    seed) until the sign changes, then bisection."""
+    if hi - lo == 1:
+        return lo
+    sign_lo = _sign_at(desc, lo, _GRID)
+    step, mid = 1, (lo + hi) // 2
+    if _sign_at(desc, mid, _GRID) == sign_lo:
+        lo = mid
+        while lo + step < hi:
+            if _sign_at(desc, lo + step, _GRID) != sign_lo:
+                hi = lo + step
+                break
+            lo, step = lo + step, 2 * step
+    else:
+        hi = mid
+        while hi - step > lo:
+            if _sign_at(desc, hi - step, _GRID) == sign_lo:
+                lo = hi - step
+                break
+            hi, step = hi - step, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _sign_at(desc, mid, _GRID) == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _refine(isolation) -> tuple[tuple[float, int], ...]:
+    """Ascending (root, multiplicity) pairs of an isolation, a tuple of
+    (descending coefficients, multiplicity, brackets) per square-free part:
+    each root is the midpoint of its grid cell (``_cell``)."""
+    out = []
+    for desc, mult, brackets in isolation:
+        for lo, hi in brackets:
+            cell = _cell(desc, lo, hi)
+            out.append((float(Fraction(2 * cell + 1, 2 * _GRID)), mult))
+    return tuple(sorted(out))
+
+
+def _snap(desc: list[int], a: Fraction, b: Fraction) -> tuple[int, int]:
+    """Grid bracket of the one root of desc in (a, b), neither end a root."""
+    lo, hi = -(-a.numerator * _GRID // a.denominator), b.numerator * _GRID // b.denominator
+    if lo > hi:  # no grid point in [a, b]
+        return hi, hi + 1
+    sign_a = _sign_at(desc, a.numerator, a.denominator)
+    if _sign_at(desc, lo, _GRID) != sign_a:
+        return lo - 1, lo
+    if _sign_at(desc, hi, _GRID) == sign_a:
+        return hi, hi + 1
+    return lo, hi
+
+
+def _parts(poly: IntPoly) -> list[tuple[list[int], int]]:
+    """sympy's square-free decomposition: (descending coefficients, multiplicity)."""
+    _, parts = Poly(list(reversed(poly.coeffs)), Symbol("x")).sqf_list()
+    return [([int(c) for c in part.all_coeffs()], mult) for part, mult in parts]
+
+
+def _isolate(poly: IntPoly) -> tuple:
+    """Isolation (see ``_refine``) of every root of a monic integer
+    polynomial with no rational root, by sympy's ``Poly.intervals`` on each
+    square-free part; a part with fewer real roots than its degree raises
+    ArithmeticError."""
+    out = []
+    for desc, mult in _parts(poly):
+        part = Poly(desc, Symbol("x"))
+        intervals = part.intervals(sqf=True)
+        if len(intervals) != part.degree():
+            raise ArithmeticError(f"{part.as_expr()} has a non-real root")
+        brackets = tuple(
+            _snap(desc, Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q)))
+            for a, b in intervals
+        )
+        out.append((tuple(desc), mult, brackets))
+    return tuple(out)
+
+
 def real_roots(poly: IntPoly) -> list[tuple[float, int]]:
     """Ascending real roots, with exact multiplicities, of a monic integer
     polynomial with no rational root, such as the ``integer_roots`` residual.
 
     Multiplicities come from sympy's ``sqf_list``.  Each root of a square-free
     part is isolated by ``Poly.intervals`` and bisected with exact integer
-    sign tests (no midpoint is a root) to width <= 1e-13 before rounding.
-    A part with fewer real roots than its degree raises ArithmeticError.
+    sign tests to its cell of the 2^-44 grid (no grid point is a root), whose
+    midpoint is reported.  A part with fewer real roots than its degree
+    raises ArithmeticError.
     """
-    _, parts = Poly(list(reversed(poly.coeffs)), Symbol("x")).sqf_list()
-    out = []
-    for part, mult in parts:
-        desc = [int(c) for c in part.all_coeffs()]
-        intervals = part.intervals(sqf=True)
-        if len(intervals) != part.degree():
-            raise ArithmeticError(f"{part.as_expr()} has a non-real root")
-        for a, b in intervals:
-            den = int(a.q) * int(b.q)
-            lo, hi = int(a.p) * int(b.q), int(b.p) * int(a.q)
-            sign_lo = _sign_at(desc, lo, den)
-            while (hi - lo) * 10**13 > den:
-                lo, hi, den = 2 * lo, 2 * hi, 2 * den
-                mid = (lo + hi) // 2
-                if _sign_at(desc, mid, den) == sign_lo:
-                    lo = mid
-                else:
-                    hi = mid
-            out.append((float(Fraction(lo + hi, 2 * den)), mult))
-    return sorted(out)
+    return list(_refine(_isolate(poly)))
 
 
 @dataclass(frozen=True)
 class IntegralityCertificate:
     """Exact characteristic polynomial split into integer linear factors and
-    the residual that has no integer root."""
+    the residual that has no integer root.
+
+    ``isolation`` holds the residual's roots as grid brackets (see
+    ``_refine``), or None to isolate them with ``real_roots``'s sympy route
+    on first use; ``residual_roots`` refines them once, when first read.
+    """
 
     roots: tuple[tuple[int, int], ...]
     residual: IntPoly
     poly: IntPoly
+    isolation: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def integral(self) -> bool:
         return self.residual.degree == 0
+
+    @functools.cached_property
+    def residual_roots(self) -> tuple[tuple[float, int], ...]:
+        """Ascending real roots of the residual, with multiplicities."""
+        return _refine(_isolate(self.residual) if self.isolation is None else self.isolation)
 
     def text(self) -> str:
         parts = []
@@ -285,10 +379,8 @@ def twin_partition(mat) -> tuple[tuple[int, ...], ...]:
     """
     arr = np.asarray(mat)
     agree = np.zeros(arr.shape)
-    # return_inverse: plain np.unique imports numpy.ma
-    values, codes = np.unique(arr, return_inverse=True)
-    for code in range(len(values)):
-        hits = (codes == code).astype(np.float64)
+    for value in set(arr.ravel().tolist()):
+        hits = (arr == value).astype(np.float64)
         agree += hits @ hits.T
     diag = np.diagonal(arr)[:, None]
     twin = (agree == len(arr) - 2 * (arr != diag)) & (diag == diag.T)
@@ -343,6 +435,90 @@ def _power_of_linear(root: int, m: int) -> IntPoly:
     return IntPoly(tuple(math.comb(m, k) * (-root) ** (m - k) for k in range(m + 1)))
 
 
+def _seeds(quotient: np.ndarray, totals: list[int]) -> np.ndarray | None:
+    """Float eigenvalues, ascending, of a quotient whose blocks stand for
+    ``totals`` rows, or None unless t_a Q_ab = t_b Q_ba throughout (checked
+    exactly).  Then Q is similar to the symmetric diag(sqrt t) Q
+    diag(1/sqrt t), so every eigenvalue is real, and LAPACK returns each
+    to within a few ulps of that matrix's norm (Weyl)."""
+    weighted = np.array(totals, dtype=object)[:, None] * quotient.astype(object)
+    if not (weighted == weighted.T).all():
+        return None
+    root = np.sqrt(np.array(totals, dtype=np.float64))
+    try:
+        seeds = np.linalg.eigvalsh(quotient * root[:, None] / root[None, :])
+    except np.linalg.LinAlgError:
+        return None
+    return seeds if np.isfinite(seeds).all() else None
+
+
+def _seeded_brackets(desc: list[int], seeds: list[float], delta: float) -> tuple | None:
+    """Grid brackets of the roots of a square-free monic integer polynomial,
+    one at seed +- delta for each ascending seed, or None unless they
+    certify: as many as the degree, disjoint, each with a sign change (so
+    each holds exactly one root) and no integer root inside (so none is
+    rational).  Correctness never depends on delta."""
+    if len(seeds) != len(desc) - 1:
+        return None
+    brackets, prev = [], None
+    for mu in seeds:
+        lo, hi = math.floor((mu - delta) * _GRID), math.ceil((mu + delta) * _GRID)
+        if prev is not None and lo < prev:
+            return None
+        if _sign_at(desc, lo, _GRID) * _sign_at(desc, hi, _GRID) != -1:
+            return None
+        for z in range(-(-lo // _GRID), hi // _GRID + 1):
+            if _sign_at(desc, z, 1) == 0:
+                return None
+        brackets.append((lo, hi))
+        prev = hi
+    return tuple(brackets)
+
+
+def _seeded_roots(poly: IntPoly, seeds: np.ndarray):
+    """(integer roots, residual, isolation) of a quotient's characteristic
+    polynomial from its float eigenvalues, or None when they do not certify.
+
+    Each integer within delta of a seed is deflated exactly as often as it
+    divides, and must account for as many seeds.  The residual's roots are
+    bracketed around the other seeds (``_seeded_brackets``); when seeds
+    cluster within 2 delta (a repeated root), each part of sympy's
+    square-free decomposition is bracketed around the centres of the
+    clusters of its multiplicity.
+    """
+    seeds = seeds.tolist()
+    delta = 2.0**-32 * max([1.0, *map(abs, seeds)])
+    roots, work = [], poly
+    for z in sorted({round(mu) for mu in seeds if abs(mu - round(mu)) <= delta}):
+        mult = 0
+        while work.degree > 0:
+            quo, rem = work.deflate(z)
+            if rem:
+                break
+            work, mult = quo, mult + 1
+        if mult:
+            rest = [mu for mu in seeds if abs(mu - z) > delta]
+            if len(seeds) - len(rest) != mult:
+                return None
+            roots.append((z, mult))
+            seeds = rest
+    clusters: list[list[float]] = []
+    for mu in seeds:
+        if clusters and mu - clusters[-1][-1] <= 2 * delta:
+            clusters[-1].append(mu)
+        else:
+            clusters.append([mu])
+    simple = len(clusters) == len(seeds)
+    isolation = []
+    for part, mult in [(list(reversed(work.coeffs)), 1)] if simple else _parts(work):
+        centres = [sum(c) / mult for c in clusters if len(c) == mult]
+        brackets = _seeded_brackets(part, centres, delta)
+        if brackets is None:
+            return None
+        isolation.append((tuple(part), mult, brackets))
+    return roots, work, tuple(isolation)
+
+
 def integrality_certificate(mat, sizes=None) -> IntegralityCertificate:
     """Factor the exact characteristic polynomial of a symmetric integer
     matrix, or of its blow-up in which row i stands for ``sizes[i]`` twins of
@@ -353,9 +529,13 @@ def integrality_certificate(mat, sizes=None) -> IntegralityCertificate:
     det(xI - Q) times (x - d_A + c_A)^(m_A - 1) for each block A standing
     for m_A rows, with off-diagonal entry c_A and diagonal entry d_A, where
     Q is the block row-sum matrix, checked equitable on every call (a matrix
-    without twins is its own quotient).  The root search is exhaustive:
-    every eigenvalue of Q lies within its maximum absolute row sum, which
-    bounds the candidate integers.  Each block factor is expanded, so only
+    without twins is its own quotient).  The roots of det(xI - Q) are found
+    once, from Q's float eigenvalues (``_seeds``, ``_seeded_roots``): integer
+    roots by exact deflation, the others as isolating brackets certified by
+    exact sign tests, refined only when ``residual_roots`` is read.  When
+    the seeds do not certify, the complete path runs: ``integer_roots``
+    bounded by Q's maximum absolute row sum, which bounds every eigenvalue,
+    then ``real_roots``'s isolation.  Each block factor is expanded, so only
     a blow-up of modest order can be certified.
     """
     arr = _integer_matrix(mat)
@@ -364,20 +544,26 @@ def integrality_certificate(mat, sizes=None) -> IntegralityCertificate:
     sizes = [1] * len(arr) if sizes is None else [int(m) for m in sizes]
     blocks = twin_partition(arr)
     quotient = _equitable_quotient(arr, blocks, sizes)
+    totals = [sum(sizes[i] for i in block) for block in blocks]
     factors: dict[int, int] = {}
-    for block in blocks:
-        mult = sum(sizes[i] for i in block) - 1
-        if mult > 0:
+    for block, total in zip(blocks, totals):
+        if total > 1:
             root = int(arr[block[0], block[0]] - arr[block[0], block[1]])
-            factors[root] = factors.get(root, 0) + mult
+            factors[root] = factors.get(root, 0) + total - 1
     poly = char_poly(quotient)
-    bound = int(np.abs(quotient).sum(axis=1).max()) if quotient.size else 0
-    roots, residual = integer_roots(poly, bound)
+    seeds = _seeds(quotient, totals)
+    seeded = None if seeds is None else _seeded_roots(poly, seeds)
+    if seeded is None:  # the complete path
+        bound = int(np.abs(quotient).sum(axis=1).max()) if quotient.size else 0
+        roots, residual = integer_roots(poly, bound)
+        isolation = None
+    else:
+        roots, residual, isolation = seeded
     found = dict(roots)
     for root, mult in sorted(factors.items()):
         found[root] = found.get(root, 0) + mult
         poly = poly * _power_of_linear(root, mult)
-    return IntegralityCertificate(tuple(sorted(found.items())), residual, poly)
+    return IntegralityCertificate(tuple(sorted(found.items())), residual, poly, isolation)
 
 
 def is_integral_spectrum(mat) -> tuple[bool, IntegralityCertificate]:

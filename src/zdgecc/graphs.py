@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -379,14 +380,17 @@ class Decomposition:
                 part_graphs.append(null_graph(cls.elements))
         return generalized_join(self.skeleton, part_graphs)
 
-    def dense(self) -> Graph:
-        """The V x V graph: each class expanded to its vertices, ascending."""
+    def dense(self, bytes_per_cell: int = 1) -> Graph:
+        """The V x V graph: each class expanded to its vertices, ascending.
+
+        Raises MemoryError before anything is allocated when V^2 cells of
+        ``bytes_per_cell`` bytes do not fit (``_check_fits``): 1 for the
+        boolean adjacency, 9 for a caller that also builds the int64
+        eccentricity matrix."""
         if self.variant == "compressed":
             return self.skeleton
         order = self.n_vertices
-        # past intp, numpy raises ValueError or OverflowError, not MemoryError
-        if order * order > np.iinfo(np.intp).max:
-            raise MemoryError(f"a {order} x {order} adjacency exceeds numpy's index range")
+        _check_fits(order, bytes_per_cell)
         elems = np.arange(1, self.n, dtype=np.int64)
         gcds = np.gcd(elems, self.n)
         cls = np.searchsorted(np.array(self.divisors, dtype=np.int64), gcds[gcds != 1])
@@ -399,6 +403,30 @@ class Decomposition:
         adj = self.adj[np.ix_(cls, cls)]
         np.fill_diagonal(adj, False)
         return Graph(labels, adj)
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where ``os.sysconf`` cannot tell."""
+    try:
+        pages, page = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
+    return pages * page if pages > 0 and page > 0 else None
+
+
+def _check_fits(order: int, bytes_per_cell: int) -> None:
+    """MemoryError unless ``order x order`` cells of ``bytes_per_cell``
+    bytes fit in numpy's index range and in physical memory."""
+    cells = order * order
+    # past intp, numpy raises ValueError or OverflowError, not MemoryError
+    if cells > np.iinfo(np.intp).max:
+        raise MemoryError(f"a {order} x {order} adjacency exceeds numpy's index range")
+    memory = _physical_memory()
+    if memory is not None and cells * bytes_per_cell > memory:
+        raise MemoryError(
+            f"{order} x {order} cells of {bytes_per_cell} bytes exceed "
+            f"the {memory} bytes of physical memory"
+        )
 
 
 def decompose_zdg(n: int) -> Decomposition:

@@ -2,9 +2,11 @@
 check, multiplicity clustering, energy, spectral radius, and the energy gap
 between a graph and its complement.
 
-Exact mode reads every eigenvalue from the characteristic polynomial alone
-(no eigensolver, no clustering): the integer roots exactly, the irrational
-ones as certified real roots with exact multiplicities, rounded to floats.
+Exact mode reads every eigenvalue from the exact certificate alone (no
+eigensolver, no clustering): the integer roots exactly, the irrational ones
+as certified real roots with exact multiplicities, refined once per
+certificate (``IntegralityCertificate.residual_roots``) to the midpoint of
+their 2^-44 grid cell.
 
 ``spectrum`` takes a dense matrix or a ``graphs.Decomposition``.  On a class
 model with sizes m and class eccentricity data C (c on its diagonal, both
@@ -23,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from zdgecc.exact_linalg import IntegralityCertificate, integrality_certificate, real_roots
+from zdgecc.exact_linalg import IntegralityCertificate, integrality_certificate
 from zdgecc.graphs import Decomposition
 from zdgecc.number_theory import factorize
 
@@ -226,9 +228,9 @@ def spectrum(
 
     mode "float": eigensolver values clustered at cluster_tol.
     mode "exact": integer roots of the exact characteristic polynomial as
-    exact entries, the certified roots of its residual (``real_roots``) as
-    floats with exact multiplicities, cluster_tol unused; the
-    factorization is kept as the result's ``certificate``.  Raises
+    exact entries, the certified roots of its residual (the certificate's
+    ``residual_roots``) as floats with exact multiplicities, cluster_tol
+    unused; the factorization is kept as the result's ``certificate``.  Raises
     OversizeError when the order (the vertex count) is above exact_cap.
     mode "auto" picks "exact" when the order allows it.
     """
@@ -249,7 +251,7 @@ def spectrum(
         raise OversizeError(f"order {n} exceeds exact cap {exact_cap}")
     cert = integrality_certificate(source) if model is None else model.certificate
     entries = [SpectrumEntry(Fraction(r), m, True) for r, m in cert.roots]
-    entries.extend(SpectrumEntry(v, m, False) for v, m in real_roots(cert.residual))
+    entries.extend(SpectrumEntry(v, m, False) for v, m in cert.residual_roots)
     entries.sort(key=lambda e: e.float_value)
     return Spectrum(tuple(entries), certificate=cert)
 

@@ -591,3 +591,51 @@ def test_exact_audit_runs_without_eigensolver(capsys, monkeypatch):
     )
     assert code == 0, err
     assert json.loads(out)["refutations"] == ["3.2:p=3"]
+
+
+def test_one_parser_serves_successive_mains_as_fresh_processes(capsys):
+    """The parser is built once per process: runs after a usage error read
+    the same reports as fresh interpreters."""
+    spectrum = ("spectrum", "--n", "60", "--variant", "complement")
+    audit = ("audit", "--theorem", "3.1", "--primes-up-to", "7")
+    survey = ("survey", "--max-n", "30", "--variant", "extended")
+    got = [run(capsys, *spectrum)[:2]]
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--theorem", "9.9"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    got += [run(capsys, *audit)[:2], run(capsys, *survey)[:2]]
+    for argv, (code, out) in zip((spectrum, audit, survey), got):
+        proc = _cli_subprocess(*argv)
+        assert (code, out) == (proc.returncode, proc.stdout), argv
+
+
+def test_dump_above_physical_memory_exits_3_before_allocating(capsys, monkeypatch):
+    from zdgecc import graphs
+
+    if graphs._physical_memory() is None:
+        pytest.skip("os.sysconf cannot tell the physical memory here")
+    # V = 2^31 - 1: V^2 cells fit numpy's index range, not any memory
+    code, out, err = run(capsys, "spectrum", "--n", str(2**32), "--dump-graph", "-")
+    assert code == 3 and out == ""
+    assert "physical memory" in err
+
+
+def test_dense_checks_the_dump_size_before_building(monkeypatch):
+    from zdgecc import graphs
+
+    monkeypatch.setattr(graphs, "_physical_memory", lambda: 2**33)
+    with pytest.raises(MemoryError, match="physical memory"):
+        graphs._check_fits(2**31 - 1, 1)
+    with pytest.raises(MemoryError, match="index range"):
+        graphs._check_fits(2**32, 1)
+    graphs._check_fits(2**15, 8)  # 8 GiB: fits
+    with pytest.raises(MemoryError):
+        graphs._check_fits(2**15, 9)
+    monkeypatch.setattr(graphs, "_physical_memory", lambda: 100)
+    model = graphs.Decomposition.of(12, "zdg")  # 7 vertices: 49 cells
+    assert model.dense().n_vertices == 7
+    with pytest.raises(MemoryError):
+        model.dense(bytes_per_cell=9)
+    code = main(["spectrum", "--n", "12", "--dump-matrix", os.devnull])
+    assert code == 3

@@ -389,3 +389,93 @@ def test_real_roots_reject_a_non_real_root():
 
 def test_real_roots_of_a_constant():
     assert real_roots(IntPoly((1,))) == []
+
+
+# ---------------------------------------------------------------------------
+# seeded roots: the certificate isolates its roots from the quotient's float
+# eigenvalues, and falls back to integer_roots and real_roots when they do
+# not certify
+
+
+def _models(max_n, cap=150):
+    from zdgecc.graphs import VARIANTS, Decomposition
+    from zdgecc.number_theory import is_prime
+
+    for variant in VARIANTS:
+        for n in range(4, max_n + 1):
+            if not is_prime(n) and Decomposition.of(n, variant).n_vertices <= cap:
+                yield n, variant
+
+
+def _fresh(n, variant):
+    """A model with no cached certificate (the cached one is left alone)."""
+    from zdgecc.graphs import Decomposition
+
+    m = Decomposition.of(n, variant)
+    return Decomposition(m.n, m.variant, m.divisors, m.sizes, m.adj)
+
+
+def test_seeded_certificates_equal_the_complete_path_bit_for_bit(monkeypatch):
+    from zdgecc.spectra import spectrum
+
+    cases = list(_models(200))
+    seeded = {case: _fresh(*case) for case in cases}
+    for case, model in seeded.items():
+        assert model.certificate.isolation is not None, case  # the seeds certified
+    monkeypatch.setattr(exact_linalg, "_seeds", lambda quotient, totals: None)
+    for case, model in seeded.items():
+        complete = _fresh(*case)
+        assert complete.certificate.isolation is None, case
+        assert complete.certificate == model.certificate, case
+        assert complete.certificate.residual_roots == model.certificate.residual_roots, case
+        assert spectrum(complete, "exact").entries == spectrum(model, "exact").entries, case
+
+
+def test_seeds_off_by_a_half_still_give_the_certificate(monkeypatch):
+    cases = [(8, "zdg"), (12, "complement"), (60, "extended"), (96, "compressed"),
+             (142, "zdg"), (210, "compressed")]
+    want = {case: _fresh(*case).certificate for case in cases}
+    seeds = exact_linalg._seeds
+    monkeypatch.setattr(
+        exact_linalg, "_seeds", lambda quotient, totals: seeds(quotient, totals) + 0.5
+    )
+    for case in cases:
+        cert = _fresh(*case).certificate
+        assert cert == want[case], case
+        assert cert.residual_roots == want[case].residual_roots, case
+
+
+def test_repeated_irrational_roots_are_seeded_per_square_free_part():
+    # two disconnected copies of a path: every eigenvalue of the path twice
+    path = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    cert = integrality_certificate(np.kron(np.eye(2, dtype=np.int64), path))
+    assert cert.roots == ((0, 2),)
+    assert cert.residual == IntPoly((-2, 0, 1)) * IntPoly((-2, 0, 1))
+    assert [mult for _, mult, _ in cert.isolation] == [2]
+    roots = cert.residual_roots
+    assert [mult for _, mult in roots] == [2, 2]
+    # the midpoint of the 2^-44 grid cell holding the root
+    assert all(abs(v - e) <= 2.0**-45 for (v, _), e in zip(roots, (-(2**0.5), 2**0.5)))
+
+
+def test_exact_spectra_refine_once_and_survey_records_never(monkeypatch):
+    from zdgecc.graphs import Decomposition
+    from zdgecc.spectra import spectrum
+    from zdgecc.survey import survey_record
+
+    calls = []
+    refine = exact_linalg._refine
+
+    def spy(isolation):
+        calls.append(isolation)
+        return refine(isolation)
+
+    monkeypatch.setattr(exact_linalg, "_refine", spy)
+    Decomposition.of.cache_clear()  # fresh models: no certificate is cached
+    model = Decomposition.of(96, "compressed")
+    assert spectrum(model, "exact") == spectrum(model, "exact")
+    assert len(calls) == 1
+    calls.clear()
+    assert survey_record(152, "complement")["integral"] is False
+    assert calls == []
+    Decomposition.of.cache_clear()  # drop the models built under the patch

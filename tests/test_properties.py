@@ -3,6 +3,7 @@ moduli, and the CLI's exit codes on malformed arguments."""
 
 import contextlib
 import io
+from unittest import mock
 
 import pytest
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_ecc_matrix, brute_twin_blocks, brute_zdg_edges
+from zdgecc import exact_linalg
 from zdgecc.cli import main
 from zdgecc.eccentricity import eccentricity_matrix
 from zdgecc.exact_linalg import (
@@ -167,3 +169,24 @@ def exit_code(argv):
 @given(argvs())
 def test_cli_exit_code_in_documented_set(argv):
     assert exit_code(argv) in {0, 1, 2, 3, 4}
+
+
+@PROPERTY
+@given(symmetric_matrices(), st.integers(1, 3), st.data())
+def test_seeded_certificate_equals_the_complete_path(m, copies, data):
+    """Block-diagonal copies repeat every eigenvalue, irrational ones too,
+    and twin blocks carry drawn row weights."""
+    m = np.kron(np.eye(copies, dtype=np.int64), m)
+    sizes = [1] * len(m)
+    for block in twin_partition(m):
+        if len(block) > 1:
+            drawn = data.draw(st.lists(st.integers(0, 3), min_size=len(block), max_size=len(block)))
+            drawn[0] = max(drawn[0], 1)  # a block stands for at least one row
+            for i, size in zip(block, drawn):
+                sizes[i] = size
+    seeded = integrality_certificate(m, sizes)
+    with mock.patch.object(exact_linalg, "_seeds", lambda quotient, totals: None):
+        complete = integrality_certificate(m, sizes)
+    assert complete.isolation is None
+    assert seeded == complete
+    assert seeded.residual_roots == complete.residual_roots
