@@ -22,6 +22,7 @@ from zdgecc.number_theory import (
     proper_divisors,
 )
 from zdgecc.graphs import (
+    ClassGraph,
     Decomposition,
     EmptyGraphError,
     Graph,

@@ -3,14 +3,14 @@
 ``CLAIMS`` is the catalogue: one record per theorem (labelled by its source
 theorem number) holding its parameter family (names, hypotheses and the
 points the ``audit`` command enumerates), the modulus and graph of its
-ground truth, the matrix order there, the claimed spectrum, energy value or
-bound, and the audit that checks it.  ``audit`` computes ground truth with
-the exact engine and compares, producing a Verified / Refuted /
-NotApplicable / MalformedClaim / Skipped verdict with machine-checkable
-evidence.  Each claim names its ground truth once: the class model
-(``graphs.Decomposition``, cached per modulus) of its graph, which also
-decides the tree theorems 4.1 and 4.2, or the dense graph of Z_p x Z_p for
-5.3.
+ground truth, the claimed spectrum, energy value or bound, and the audit
+that checks it.  ``audit`` computes ground truth with the exact engine and
+compares, producing a Verified / Refuted / NotApplicable / MalformedClaim /
+Skipped verdict with machine-checkable evidence.  Each claim names its
+ground truth once, as a class model (``graphs.ClassGraph``): the model of a
+variant of Z_n (``graphs.Decomposition``, cached per modulus), which also
+decides the tree theorems 4.1 and 4.2, or the two twin classes of
+Z_p x Z_p for 5.3.  The matrix order is always that model's vertex count.
 
 A claim whose multiplicities cannot sum to the matrix order is reported as
 MalformedClaim before any numerical comparison; refutations always carry at
@@ -30,8 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from zdgecc.eccentricity import eccentricity_matrix
-from zdgecc.graphs import Decomposition, Graph, build_zdg_zpzp
+from zdgecc.graphs import ClassGraph, Decomposition, _zpzp
 from zdgecc.number_theory import is_prime, primes_up_to
 from zdgecc.report import fmt_value, spectrum_json
 from zdgecc.spectra import DEFAULT_EXACT_CAP, Spectrum, spectrum
@@ -156,16 +155,11 @@ def _extended_model(n: int) -> Decomposition:
     return Decomposition.of(n, "extended")
 
 
-def _zdg_order(n: int) -> int:
-    return _zdg_model(n).n_vertices
-
-
 @dataclass(frozen=True)
 class TheoremClaim:
-    """One theorem: its ground truth at modulus ``ring(params)`` is
-    ``graph(ring(params))``, a class model or, for Z_p x Z_p, a dense graph,
-    with ``order(ring(params))`` vertices;
-    ``payload`` is the claimed (value, multiplicity, exact) triples (None
+    """One theorem: its ground truth at modulus ``ring(params)`` is the
+    class model ``graph(ring(params))``, whose vertex count is the matrix
+    order; ``payload`` is the claimed (value, multiplicity, exact) triples (None
     where none are stated, MalformedClaim where they are not real), energy
     value or gap bound; ``check`` audits an applicable point within the exact
     cap at that modulus, returning (verdict, evidence)."""
@@ -177,8 +171,7 @@ class TheoremClaim:
     check: Callable[..., tuple[Verdict, dict]]
     source: str
     payload: Callable[[dict], object] | None = None
-    graph: Callable[[int], Decomposition | Graph] = _zdg_model
-    order: Callable[[int], int] = _zdg_order
+    graph: Callable[[int], ClassGraph] = _zdg_model
     eigenvalue_bound: Callable[[dict], int] | None = None
     asserts_complete: bool = False
 
@@ -304,7 +297,7 @@ def claimed_spectrum(claim_id: str, params: dict) -> Spectrum | MalformedClaim:
     pairs = claim.payload(params) if claim.kind in ("spectrum", "integrality") else None
     if pairs is None:
         raise ValueError(f"claim {claim_id} asserts no spectrum at {params}")
-    expected = claim.order(claim.ring(params))
+    expected = claim.graph(claim.ring(params)).n_vertices
     if isinstance(pairs, MalformedClaim):
         return replace(pairs, expected_order=expected)
     spec = Spectrum.from_pairs(pairs)
@@ -360,15 +353,9 @@ def _compare_spectra(claimed: Spectrum, computed: Spectrum, tol: float) -> dict:
     }
 
 
-def _ground_truth(claim: TheoremClaim, modulus: int):
-    """What a claim's spectrum is computed from: the class model of its
-    graph, or its dense graph's eccentricity matrix."""
-    truth = claim.graph(modulus)
-    return truth if isinstance(truth, Decomposition) else eccentricity_matrix(truth)
-
-
-def _computed_spectrum(source, order: int, exact_cap: int) -> Spectrum:
-    spec = spectrum(source, "exact", exact_cap=exact_cap)
+def _computed_spectrum(model: ClassGraph, exact_cap: int) -> Spectrum:
+    spec = spectrum(model, "exact", exact_cap=exact_cap)
+    order = model.n_vertices
     # sanity preflight: trace zero and multiplicity sum
     if spec.order != order:
         raise ArithmeticError("computed multiplicities do not sum to the order")
@@ -394,8 +381,8 @@ def _verdict(ok: bool) -> Verdict:
 
 def _spectrum_audit(claim: TheoremClaim, q: dict, modulus: int, tol: float, exact_cap: int):
     claimed = claimed_spectrum(claim.id, q)
-    truth = _ground_truth(claim, modulus)
-    computed = _computed_spectrum(truth, claim.order(modulus), exact_cap)
+    truth = claim.graph(modulus)
+    computed = _computed_spectrum(truth, exact_cap)
     if isinstance(claimed, MalformedClaim):
         return Verdict.MALFORMED_CLAIM, {
             "reason": claimed.reason,
@@ -420,7 +407,7 @@ def _spectrum_audit(claim: TheoremClaim, q: dict, modulus: int, tol: float, exac
 
 def _integrality_audit(claim: TheoremClaim, q: dict, modulus: int, tol: float, exact_cap: int):
     claimed_integral = q["t"] == 2
-    computed = _computed_spectrum(_ground_truth(claim, modulus), claim.order(modulus), exact_cap)
+    computed = _computed_spectrum(claim.graph(modulus), exact_cap)
     cert = computed.certificate
     ev = {
         "computed_integral": cert.integral,
@@ -441,13 +428,8 @@ def _integrality_audit(claim: TheoremClaim, q: dict, modulus: int, tol: float, e
     return Verdict.VERIFIED, ev
 
 
-def _complement_spectrum(claim: TheoremClaim, modulus: int, exact_cap: int) -> Spectrum:
-    model = Decomposition.of(modulus, "complement")
-    return _computed_spectrum(model, claim.order(modulus), exact_cap)
-
-
 def _energy_audit(claim: TheoremClaim, q: dict, modulus: int, tol: float, exact_cap: int):
-    spec_c = _complement_spectrum(claim, modulus, exact_cap)
+    spec_c = _computed_spectrum(Decomposition.of(modulus, "complement"), exact_cap)
     formula = claim.payload(q)
     exact_energy = spec_c.energy_exact()
     ev = {
@@ -462,8 +444,8 @@ def _energy_audit(claim: TheoremClaim, q: dict, modulus: int, tol: float, exact_
 
 
 def _gap_audit(claim: TheoremClaim, q: dict, modulus: int, tol: float, exact_cap: int):
-    spec_g = _computed_spectrum(_ground_truth(claim, modulus), claim.order(modulus), exact_cap)
-    spec_c = _complement_spectrum(claim, modulus, exact_cap)
+    spec_g = _computed_spectrum(claim.graph(modulus), exact_cap)
+    spec_c = _computed_spectrum(Decomposition.of(modulus, "complement"), exact_cap)
     bound = claim.payload(q)
     gap = abs(spec_g.energy() - spec_c.energy())
     ev = {
@@ -524,12 +506,10 @@ def audit(
     prm = _params(**params)
     ok, why = claim.applicable(params)
     if not ok:
-        # the tree audits report the modulus itself as the reason
-        reason = "n is prime" if claim.kind == "structure" else why
-        return AuditVerdict(claim.id, prm, Verdict.NOT_APPLICABLE, {"reason": reason})
+        return AuditVerdict(claim.id, prm, Verdict.NOT_APPLICABLE, {"reason": why})
     modulus = claim.ring(params)
     if claim.kind != "structure":
-        order = claim.order(modulus)
+        order = claim.graph(modulus).n_vertices
         if order > exact_cap:
             return AuditVerdict(
                 claim.id, prm, Verdict.SKIPPED,
@@ -628,7 +608,7 @@ CLAIMS: dict[str, TheoremClaim] = {c.id: c for c in (
         "5.3", "spectrum", PRIME, lambda q: q["p"], _spectrum_audit,
         "Theorem 5.3: spectrum {-2^(2(p-1)), (2p-6)^2} for the zero-divisor graph of Z_p x Z_p",
         lambda q: [(-2, 2 * (q["p"] - 1), True), (2 * q["p"] - 6, 2, True)],
-        graph=build_zdg_zpzp, order=lambda p: 2 * (p - 1),
+        graph=_zpzp,
     ),
     TheoremClaim(
         "6.1", "energy", PAIR, lambda q: q["p1"] * q["p2"], _energy_audit,

@@ -7,7 +7,7 @@ zero, isolated vertices contributing zero rows); this matches how the
 disconnected complements of zero-divisor graphs are treated throughout.
 
 These functions are the one eccentricity engine: a class model
-(``graphs.Decomposition``) runs them on its two-vertex-per-class sample.
+(``graphs.ClassGraph``) runs them on its two-vertex-per-class sample.
 """
 
 from __future__ import annotations

@@ -14,7 +14,9 @@ twin blocks (``twin_partition``) form an equitable partition, checked on every
 call, whose ``k x k`` quotient carries every eigenvalue but the block factors
 ``(x - d + c)^(m-1)`` (Godsil and Royle, *Algebraic Graph Theory*, ch. 9).
 Given row weights it certifies the blow-up the rows stand for, which is how a
-class model is certified from its sample without any ``V x V`` matrix.
+class model is certified from its sample without any ``V x V`` matrix, and
+without any polynomial of degree V: a certificate stores only its integer
+roots and residual, and expands the whole polynomial (``poly``) when read.
 
 The quotient is similar to a symmetric matrix, so its roots are real and
 each lies within a few ulps of one of that matrix's float eigenvalues
@@ -326,12 +328,21 @@ class IntegralityCertificate:
 
     roots: tuple[tuple[int, int], ...]
     residual: IntPoly
-    poly: IntPoly
     isolation: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def integral(self) -> bool:
         return self.residual.degree == 0
+
+    @functools.cached_property
+    def poly(self) -> IntPoly:
+        """The whole characteristic polynomial, residual * (x - r)^m over
+        ``roots``, expanded once, when first read: its degree is the
+        matrix order, which reaches millions on a class model."""
+        poly = self.residual
+        for root, mult in self.roots:
+            poly = poly * _power_of_linear(root, mult)
+        return poly
 
     @functools.cached_property
     def residual_roots(self) -> tuple[tuple[float, int], ...]:
@@ -535,8 +546,9 @@ def integrality_certificate(mat, sizes=None) -> IntegralityCertificate:
     exact sign tests, refined only when ``residual_roots`` is read.  When
     the seeds do not certify, the complete path runs: ``integer_roots``
     bounded by Q's maximum absolute row sum, which bounds every eigenvalue,
-    then ``real_roots``'s isolation.  Each block factor is expanded, so only
-    a blow-up of modest order can be certified.
+    then ``real_roots``'s isolation.  Nothing of the blow-up's order is
+    expanded: the block factors join ``roots``, and ``poly`` multiplies
+    everything out only when read.
     """
     arr = _integer_matrix(mat)
     if not np.array_equal(arr, arr.T):
@@ -545,11 +557,6 @@ def integrality_certificate(mat, sizes=None) -> IntegralityCertificate:
     blocks = twin_partition(arr)
     quotient = _equitable_quotient(arr, blocks, sizes)
     totals = [sum(sizes[i] for i in block) for block in blocks]
-    factors: dict[int, int] = {}
-    for block, total in zip(blocks, totals):
-        if total > 1:
-            root = int(arr[block[0], block[0]] - arr[block[0], block[1]])
-            factors[root] = factors.get(root, 0) + total - 1
     poly = char_poly(quotient)
     seeds = _seeds(quotient, totals)
     seeded = None if seeds is None else _seeded_roots(poly, seeds)
@@ -560,10 +567,11 @@ def integrality_certificate(mat, sizes=None) -> IntegralityCertificate:
     else:
         roots, residual, isolation = seeded
     found = dict(roots)
-    for root, mult in sorted(factors.items()):
-        found[root] = found.get(root, 0) + mult
-        poly = poly * _power_of_linear(root, mult)
-    return IntegralityCertificate(tuple(sorted(found.items())), residual, poly, isolation)
+    for block, total in zip(blocks, totals):
+        if total > 1:  # the block factor (x - d + c)^(total - 1)
+            root = int(arr[block[0], block[0]] - arr[block[0], block[1]])
+            found[root] = found.get(root, 0) + total - 1
+    return IntegralityCertificate(tuple(sorted(found.items())), residual, isolation)
 
 
 def is_integral_spectrum(mat) -> tuple[bool, IntegralityCertificate]:

@@ -6,13 +6,16 @@ constructors order vertices canonically (ascending labels, or ascending
 divisor for class-grouped constructions) so matrices and reports are
 reproducible.
 
-Every variant of Z_n is first a ``Decomposition``: its divisor classes,
-their sizes and their class adjacency, k = tau(n) - 2 classes whatever the
-vertex count.  Structure flags are read from it, its eccentricity data from
-the dense engine run on its ``sample`` of at most 2k vertices, its exact
-certificate from ``exact_linalg.integrality_certificate`` run on that sample
-weighted by class size, and the ``V x V`` graph is only its dense expansion
-(``Decomposition.dense``).
+Every graph the package reports on is first a ``ClassGraph``: the sizes of
+its twin classes and their loop-flagged class adjacency, k classes whatever
+the vertex count.  Structure flags are read from it, its eccentricity data
+from the dense engine run on its ``sample`` of at most 2k vertices, its
+exact certificate from ``exact_linalg.integrality_certificate`` run on that
+sample weighted by class size, and the ``V x V`` graph is only its
+expansion (``_induced``).  ``Decomposition.of`` builds the model of a
+variant of Z_n from its divisor classes (k = tau(n) - 2), and ``_zpzp``
+that of Z_p x Z_p (k = 2).  The dense predicates below stay independent of
+the class model, as the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -153,13 +156,7 @@ def build_zdg_zpzp(p: int) -> Graph:
     Vertices are the pairs (a, 0) and (0, b) with 1 <= a, b < p, flattened to
     integer labels a and p + b.  The result is complete bipartite K_{p-1,p-1}.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    m = p - 1
-    adj = np.zeros((2 * m, 2 * m), dtype=bool)
-    adj[:m, m:] = True
-    adj[m:, :m] = True
-    return Graph([*range(1, p), *range(p + 1, 2 * p)], adj)
+    return _zpzp(p)._induced([0] * (p - 1) + [1] * (p - 1), [*range(1, p), *range(p + 1, 2 * p)])
 
 
 def complement(g: Graph) -> Graph:
@@ -220,17 +217,14 @@ def _divisor_classes(n: int) -> list[tuple[int, int]]:
     return sorted(out)[1:-1]
 
 
-@dataclass(frozen=True, eq=False)
-class Decomposition:
-    """Divisor-class model of a zero-divisor graph variant of Z_n.
-
-    Class d holds the vertices v with gcd(v, n) = d, one class per proper
-    divisor, and has ``sizes[d] = phi(n / d)`` vertices (1 in the compressed
-    graph, whose vertices are the divisors).  Vertices of classes d != e are
-    adjacent iff ``adj[d, e]``; class d induces a clique when ``adj[d, d]``
-    (its loop flag) and an independent set otherwise.  So the graph is the
-    generalized join of its ``skeleton`` over those parts, and vertices of
-    one class are twins.  Nothing here is V x V: sizes reach 10^11.
+class ClassGraph:
+    """A graph given by its twin classes: ``sizes[d]`` vertices in class d,
+    vertices of classes d != e adjacent iff ``adj[d, e]``, and class d a
+    clique when ``adj[d, d]`` (its loop flag), an independent set otherwise.
+    So the graph is the generalized join of its class adjacency over those
+    parts (Cardoso, de Freitas, Martins and Robbiano, Discrete Math., 2013),
+    and vertices of one class are twins.  Nothing here is V x V, and nothing
+    needs a ring: sizes reach 10^11.
 
     ``sample`` is the graph induced on a first vertex of every class and a
     second vertex of every class of two or more; twins make its
@@ -239,34 +233,10 @@ class Decomposition:
     from it.
     """
 
-    n: int
-    variant: str
-    divisors: tuple[int, ...]
-    sizes: tuple[int, ...]
-    adj: np.ndarray
-
-    @classmethod
-    @functools.lru_cache(maxsize=512)
-    def of(cls, n: int, variant: str) -> "Decomposition":
-        """The model of ``variant`` of Z_n, cached per (n, variant) (the
-        most recent 512: a survey reads each model once, an audit a few
-        hundred over and over).
-
-        Class adjacency is n | d*e (zdg and compressed), rad(n) | d*e
-        (extended), or its negation, diagonal included (complement).
-        """
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}")
-        if n < 4 or is_prime(n):
-            raise EmptyGraphError(f"Z_{n} has no nonzero zero divisors")
-        divs, sizes = zip(*_divisor_classes(n))
-        adj = _class_adjacency(divs, factorize(n).radical if variant == "extended" else n)
-        if variant == "complement":
-            adj = ~adj
-        if variant == "compressed":
-            sizes = (1,) * len(divs)
+    def __init__(self, sizes, adj):
+        adj = np.array(adj, dtype=bool)
         adj.setflags(write=False)
-        return cls(n, variant, divs, sizes, adj)
+        self.sizes, self.adj = tuple(sizes), adj
 
     @property
     def n_vertices(self) -> int:
@@ -356,12 +326,66 @@ class Decomposition:
         sizes = [*self.sizes, *[0] * len(self._seconds)]
         return integrality_certificate(self.sample_ecc, sizes)
 
+    def _induced(self, cls, labels) -> Graph:
+        """The graph on one vertex per entry of ``cls`` (its class index),
+        labelled by ``labels``: vertices of classes d != e are adjacent iff
+        adj[d, e], two of one class iff its loop flag."""
+        adj = self.adj[np.ix_(cls, cls)]
+        np.fill_diagonal(adj, False)
+        return Graph(labels, adj)
+
+
+def _zpzp(p: int) -> ClassGraph:
+    """Z_p x Z_p for prime p: the classes (a, 0) and (0, b), 1 <= a, b < p,
+    adjacent to each other only, so the graph is K_{p-1,p-1}."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    return ClassGraph((p - 1, p - 1), [[False, True], [True, False]])
+
+
+@dataclass(frozen=True, eq=False)
+class Decomposition(ClassGraph):
+    """Divisor-class model of a zero-divisor graph variant of Z_n.
+
+    Class d holds the vertices v with gcd(v, n) = d, one class per proper
+    divisor, and has ``sizes[d] = phi(n / d)`` vertices (1 in the compressed
+    graph, whose vertices are the divisors); ``adj`` is its class adjacency
+    (see ``ClassGraph``) and ``skeleton`` that adjacency on the divisors.
+    """
+
+    n: int
+    variant: str
+    divisors: tuple[int, ...]
+    sizes: tuple[int, ...]
+    adj: np.ndarray
+
+    @classmethod
+    @functools.lru_cache(maxsize=512)
+    def of(cls, n: int, variant: str) -> "Decomposition":
+        """The model of ``variant`` of Z_n, cached per (n, variant) (the
+        most recent 512: a survey reads each model once, an audit a few
+        hundred over and over).
+
+        Class adjacency is n | d*e (zdg and compressed), rad(n) | d*e
+        (extended), or its negation, diagonal included (complement).
+        """
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}")
+        if n < 4 or is_prime(n):
+            raise EmptyGraphError(f"Z_{n} has no nonzero zero divisors")
+        divs, sizes = zip(*_divisor_classes(n))
+        adj = _class_adjacency(divs, factorize(n).radical if variant == "extended" else n)
+        if variant == "complement":
+            adj = ~adj
+        if variant == "compressed":
+            sizes = (1,) * len(divs)
+        adj.setflags(write=False)
+        return cls(n, variant, divs, sizes, adj)
+
     @property
     def skeleton(self) -> Graph:
         """The class adjacency without loops, on the divisors."""
-        adj = self.adj.copy()
-        np.fill_diagonal(adj, False)
-        return Graph(self.divisors, adj)
+        return self._induced(range(len(self.sizes)), self.divisors)
 
     @property
     def parts(self) -> tuple[tuple[DivisorClass, ClassKind], ...]:
@@ -372,13 +396,8 @@ class Decomposition:
         )
 
     def reconstruct(self) -> Graph:
-        part_graphs = []
-        for cls, kind in self.parts:
-            if kind is ClassKind.COMPLETE:
-                part_graphs.append(complete_graph(cls.elements))
-            else:
-                part_graphs.append(null_graph(cls.elements))
-        return generalized_join(self.skeleton, part_graphs)
+        build = {ClassKind.COMPLETE: complete_graph, ClassKind.NULL: null_graph}
+        return generalized_join(self.skeleton, [build[kind](c.elements) for c, kind in self.parts])
 
     def dense(self, bytes_per_cell: int = 1) -> Graph:
         """The V x V graph: each class expanded to its vertices, ascending.
@@ -395,14 +414,6 @@ class Decomposition:
         gcds = np.gcd(elems, self.n)
         cls = np.searchsorted(np.array(self.divisors, dtype=np.int64), gcds[gcds != 1])
         return self._induced(cls, elems[gcds != 1])
-
-    def _induced(self, cls, labels) -> Graph:
-        """The graph on one vertex per entry of ``cls`` (its class index),
-        labelled by ``labels``: vertices of classes d != e are adjacent iff
-        adj[d, e], two of one class iff its loop flag."""
-        adj = self.adj[np.ix_(cls, cls)]
-        np.fill_diagonal(adj, False)
-        return Graph(labels, adj)
 
 
 def _physical_memory() -> int | None:

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 
 import zdgecc
-from zdgecc.graphs import Decomposition
+from zdgecc.graphs import ClassGraph
 
 SCHEMA_VERSION = 1
 
@@ -37,7 +37,7 @@ def fmt_value(v) -> str:
     return fmt_float(v)
 
 
-def structure_fields(model: Decomposition) -> dict:
+def structure_fields(model: ClassGraph) -> dict:
     """The size and structure flags of a graph, read from its class model."""
     return {
         "vertices": model.n_vertices,
@@ -49,7 +49,7 @@ def structure_fields(model: Decomposition) -> dict:
     }
 
 
-def spectral_fields(model: Decomposition, spec, connected: bool) -> dict:
+def spectral_fields(model: ClassGraph, spec, connected: bool) -> dict:
     """Irreducibility of a class model's eccentricity matrix and the
     spectral statistics of its spectrum."""
     fields = {

@@ -8,9 +8,10 @@ as certified real roots with exact multiplicities, refined once per
 certificate (``IntegralityCertificate.residual_roots``) to the midpoint of
 their 2^-44 grid cell.
 
-``spectrum`` takes a dense matrix or a ``graphs.Decomposition``.  On a class
-model with sizes m and class eccentricity data C (c on its diagonal, both
-read off the eccentricity matrix of the model's sample), the float path runs the eigensolver on the k x k matrix
+``spectrum`` takes a dense matrix or a class model (``graphs.ClassGraph``).
+On a class model with sizes m and class eccentricity data C (c on its
+diagonal, both read off the eccentricity matrix of the model's sample), the
+float path runs the eigensolver on the k x k matrix
 S = diag(sqrt m) C diag(sqrt m) - diag(c), which is similar to the quotient,
 and adds -c_d with multiplicity m_d - 1 per class (the generalized-join
 spectrum: Cardoso, de Freitas, Martins and Robbiano, Discrete Math., 2013);
@@ -26,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from zdgecc.exact_linalg import IntegralityCertificate, integrality_certificate
-from zdgecc.graphs import Decomposition
+from zdgecc.graphs import ClassGraph, Decomposition
 from zdgecc.number_theory import factorize
 
 DEFAULT_EXACT_CAP = 150
@@ -206,7 +207,7 @@ def _cluster(pairs: list[tuple[float, int]], tol: float) -> list[tuple[float, in
 def _float_pairs(source) -> list[tuple[float, int]]:
     """Ascending (eigenvalue, multiplicity) pairs from the eigensolver: of
     the matrix itself, or of a class model's S plus its class eigenvalues."""
-    if not isinstance(source, Decomposition):
+    if not isinstance(source, ClassGraph):
         return [(v, 1) for v in eigenvalues_symmetric(source)]
     c = np.diagonal(source.ecc)
     root = np.sqrt(np.array(source.sizes, dtype=np.float64))
@@ -224,7 +225,7 @@ def spectrum(
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> Spectrum:
     """Spectrum of a symmetric integer matrix, or of the eccentricity matrix
-    of a class model (``graphs.Decomposition``).
+    of a class model (``graphs.ClassGraph``).
 
     mode "float": eigensolver values clustered at cluster_tol.
     mode "exact": integer roots of the exact characteristic polynomial as
@@ -234,10 +235,8 @@ def spectrum(
     OversizeError when the order (the vertex count) is above exact_cap.
     mode "auto" picks "exact" when the order allows it.
     """
-    model = source if isinstance(source, Decomposition) else None
-    if model is None:
-        source = np.asarray(source)
-    n = source.shape[0] if model is None else model.n_vertices
+    model = source if isinstance(source, ClassGraph) else None
+    n = np.shape(source)[0] if model is None else model.n_vertices
     if mode not in ("auto", "exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "auto":

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from zdgecc import eccentricity
 from zdgecc.claims import (
     MalformedClaim,
     Verdict,
@@ -122,6 +123,35 @@ def test_audit_53_malformed():
         assert v.verdict is Verdict.MALFORMED_CLAIM
 
 
+def test_audit_53_reads_two_classes_not_the_dense_graph(monkeypatch):
+    """K_{p-1,p-1} is two twin classes: the distances run on a four-vertex
+    sample, never on the 2(p - 1) vertices."""
+    distances = eccentricity.distances
+
+    def small_only(g):
+        assert g.n_vertices <= 4, g
+        return distances(g)
+
+    monkeypatch.setattr(eccentricity, "distances", small_only)
+    v = audit("5.3", {"p": 2003}, exact_cap=4004)
+    assert v.verdict is Verdict.MALFORMED_CLAIM
+    assert v.evidence["matrix_order"] == 4004
+
+
+def test_audit_53_at_ten_thousand():
+    v = audit("5.3", {"p": 10007}, exact_cap=20012)
+    assert v.verdict is Verdict.MALFORMED_CLAIM
+    assert v.evidence["matrix_order"] == 20012
+    computed = [(e["value"], e["multiplicity"]) for e in v.evidence["computed_spectrum"]]
+    assert computed == [("-2", 20010), ("20010", 2)]
+
+
+def test_audit_53_not_applicable_at_a_composite():
+    v = audit("5.3", {"p": 4})
+    assert v.verdict is Verdict.NOT_APPLICABLE
+    assert v.evidence["reason"] == "requires a prime"
+
+
 def test_audit_52_verified():
     v = audit("5.2", {"p": 3, "t": 2})
     assert v.verdict is Verdict.VERIFIED
@@ -213,6 +243,14 @@ def test_audit_41_42():
     assert audit("4.2", {"n": 9}).verdict is Verdict.VERIFIED
     # non-tree
     assert audit("4.1", {"n": 15}).verdict is Verdict.NOT_APPLICABLE
+
+
+@pytest.mark.parametrize("n", [1, 7, -6])
+@pytest.mark.parametrize("claim_id", ["4.1", "4.2", "4.3"])
+def test_structure_audits_off_their_family_give_its_reason(claim_id, n):
+    v = audit(claim_id, {"n": n})
+    assert v.verdict is Verdict.NOT_APPLICABLE
+    assert v.evidence == {"reason": "requires composite n >= 4"}
 
 
 def test_audit_structure_helper():

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -479,3 +483,50 @@ def test_exact_spectra_refine_once_and_survey_records_never(monkeypatch):
     assert survey_record(152, "complement")["integral"] is False
     assert calls == []
     Decomposition.of.cache_clear()  # drop the models built under the patch
+
+
+# the certificate stores its roots and residual; the whole polynomial, of
+# the matrix's order, is expanded only when ``poly`` is read
+
+
+def test_certificates_expand_their_polynomial_only_when_read(monkeypatch):
+    from zdgecc.graphs import Decomposition
+    from zdgecc.survey import survey_record
+
+    calls = []
+    power = exact_linalg._power_of_linear
+
+    def spy(root, m):
+        calls.append((root, m))
+        return power(root, m)
+
+    monkeypatch.setattr(exact_linalg, "_power_of_linear", spy)
+    cases = [(8, "zdg"), (12, "complement"), (60, "extended"), (210, "compressed")]
+    models = {case: _fresh(*case) for case in cases}
+    for model in models.values():
+        assert model.certificate.roots  # so reading poly expands something
+    Decomposition.of.cache_clear()  # a fresh model, so survey_record certifies it
+    assert survey_record(60)["integral"] is not None
+    assert calls == []
+    for case, model in models.items():
+        before = len(calls)
+        assert model.certificate.poly == char_poly(eccentricity_matrix(model.dense())), case
+        assert len(calls) > before, case
+    Decomposition.of.cache_clear()  # drop the models built under the patch
+
+
+def test_certificate_of_a_million_vertices_needs_no_expansion():
+    src = str(Path(exact_linalg.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "from zdgecc.graphs import Decomposition\n"
+        "model = Decomposition.of(10**6, 'zdg')\n"
+        "print(model.n_vertices, sum(m for _, m in model.certificate.roots))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    order, integer_roots_counted = map(int, proc.stdout.split())
+    assert order == 599999 and 0 < integer_roots_counted <= order

@@ -312,6 +312,11 @@ def test_zpzp_is_complete_bipartite():
         assert g.edge_set() == expected
 
 
+def test_zpzp_rejects_a_composite():
+    with pytest.raises(ValueError, match="p must be prime"):
+        build_zdg_zpzp(4)
+
+
 def test_adjacency_text():
     g8 = build_zdg(8)
     assert to_adjacency_text(g8) == "2: 4\n4: 2,6\n6: 4\n"

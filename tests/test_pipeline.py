@@ -102,8 +102,9 @@ def test_certificate_polynomial_is_computed_on_the_twin_quotient(monkeypatch):
 
 
 def test_audit_catalogue_builds_no_dense_zdg(capsys, monkeypatch):
-    """Every theorem but 5.3 reads the class model, so the benchmark's audit
-    builds no dense Z_n graph; every verdict equals the pinned verdicts."""
+    """Every theorem reads a class model, Z_p x Z_p's for 5.3 included, so
+    the benchmark's audit builds no dense graph; every verdict equals the
+    pinned verdicts."""
     original = graphs.build_zdg
     built = []
 

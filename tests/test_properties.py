@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from oracles import brute_ecc_matrix, brute_twin_blocks, brute_zdg_edges
 from zdgecc import exact_linalg
 from zdgecc.cli import main
-from zdgecc.eccentricity import eccentricity_matrix
+from zdgecc.eccentricity import eccentricity_matrix, is_irreducible
 from zdgecc.exact_linalg import (
     IntPoly,
     char_poly,
@@ -23,8 +23,11 @@ from zdgecc.exact_linalg import (
     integrality_certificate,
     twin_partition,
 )
-from zdgecc.graphs import build_zdg
+from zdgecc.graphs import (
+    ClassGraph, build_zdg, is_complete, is_connected, is_star, is_tree,
+)
 from zdgecc.number_theory import is_prime
+from zdgecc.spectra import _float_pairs, eigenvalues_symmetric
 
 COMPOSITES = [n for n in range(4, 61) if not is_prime(n)]
 
@@ -190,3 +193,37 @@ def test_seeded_certificate_equals_the_complete_path(m, copies, data):
     assert complete.isolation is None
     assert seeded == complete
     assert seeded.residual_roots == complete.residual_roots
+
+
+@st.composite
+def class_graphs(draw):
+    """1-6 classes of 1-4 vertices with a random symmetric loop-flagged
+    adjacency (disconnected ones included), where a class may copy another's
+    adjacency row, so that the two classes are twins of each other."""
+    k = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    adj = np.zeros((k, k), dtype=bool)
+    adj[np.triu_indices(k)] = draw(
+        st.lists(st.booleans(), min_size=k * (k + 1) // 2, max_size=k * (k + 1) // 2)
+    )
+    adj |= adj.T
+    for _ in range(draw(st.integers(0, 2)) if k > 1 else 0):
+        a, b = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        adj[b] = adj[a]
+        adj[:, b] = adj[:, a]  # so adj[a, b] = adj[b, b] = adj[a, a]
+    return ClassGraph(sizes, adj)
+
+
+@PROPERTY
+@given(class_graphs())
+def test_class_graph_equals_the_dense_engine_on_its_expansion(model):
+    g = model._induced(np.repeat(range(len(model.sizes)), model.sizes), range(model.n_vertices))
+    mat = eccentricity_matrix(g)
+    assert (model.n_vertices, model.n_edges) == (g.n_vertices, g.n_edges)
+    flags = (model.connected, model.tree, model.star, model.complete)
+    assert flags == (is_connected(g), is_tree(g), is_star(g), is_complete(g))
+    assert model.irreducible == is_irreducible(mat)
+    assert model.certificate == integrality_certificate(mat)
+    got = np.array([v for v, m in _float_pairs(model) for _ in range(m)])
+    want = np.array(eigenvalues_symmetric(mat))
+    assert (np.abs(got - want) <= 1e-9 * np.maximum(1, np.abs(want))).all()
