@@ -6,9 +6,13 @@ the block-matrix determinant identities (Schur complement, coronel of a
 matrix, all-ones shifts, rank-one adjugate perturbations) used to derive
 closed-form eccentricity spectra.
 
-The characteristic polynomial is delegated to sympy's DomainMatrix over ZZ
-(division-free Berkowitz); determinants, inverses and the identity checks
-are implemented here independently, so the two routes cross-validate.
+The characteristic polynomial is computed modulo primes below 2^26, all in
+one numpy pass (Hessenberg reduction, then Cohen's recurrence), and lifted
+by the Chinese remainder theorem.  The primes' product exceeds twice the
+coefficient bound (1 + r)^k, r = isqrt(ceil(||M||_F^2 / k)) + 1 for a k x k
+matrix (Schur's and Maclaurin's inequalities), so the lift is exact without
+any probabilistic check.  Determinants, inverses and the identity checks are
+implemented here independently, so the routes cross-validate.
 ``integrality_certificate`` runs it only on the twin quotient of a matrix:
 twin blocks (``twin_partition``) form an equitable partition, checked on every
 call, whose ``k x k`` quotient carries every eigenvalue but the block factors
@@ -38,8 +42,9 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from sympy import ZZ, Poly, Symbol
-from sympy.polys.matrices import DomainMatrix
+from sympy import Poly, Symbol
+
+from zdgecc.number_theory import is_prime
 
 RatMatrix = list[list[Fraction]]
 
@@ -160,11 +165,83 @@ def determinant(mat) -> Fraction:
     return sign * a[n - 1][n - 1] if n else Fraction(1)
 
 
+@functools.cache
+def _prime_below(n: int) -> int:
+    """The largest prime below n, found when first needed."""
+    return next(m for m in range(n - 1, 1, -1) if is_prime(m))
+
+
+def _primes(bits: int, bound: int) -> list[int]:
+    """The fewest primes below 2^bits, largest first, whose product exceeds bound."""
+    out, prod, p = [], 1, 1 << bits
+    while prod <= bound:
+        p = _prime_below(p)
+        out.append(p)
+        prod *= p
+    return out
+
+
+def _char_poly_mod(h: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of det(xI - M) mod p, one row per prime p, from
+    the stack h of M mod p (shape (P, k, k), int64, overwritten).
+
+    Each step is one array operation over every prime.  First h is reduced
+    to upper Hessenberg form by similarity: at column j the rows below j + 1
+    are cleared with multiples of row j + 1, and the same multiples of their
+    columns are added to column j + 1; only a prime whose pivot is 0 swaps a
+    row and column pair first.  Then the polynomial p_m of each leading
+    m x m block follows from the smaller ones (Cohen, *A Course in
+    Computational Algebraic Number Theory*, Alg. 2.2.9):
+    p_m = x p_(m-1) - sum over i <= m of h_im t_i p_(i-1), where t_i is the
+    product of the subdiagonal entries h_(i+1,i) ... h_(m,m-1) (t_m = 1), so
+    that t for m is t for m - 1 times h_(m,m-1), then 1.  Entries stay in
+    [0, p), so each sum of products is below k (p - 1)^2 < 2^63: exact.
+    """
+    n_primes, k = len(primes), h.shape[-1]
+    col, cube = primes[:, None], primes[:, None, None]
+    plist = primes.tolist()
+    for j in range(k - 2):
+        pivots = h[:, j + 1, j]
+        if not pivots.all():
+            for q in np.flatnonzero(pivots == 0).tolist():
+                below = np.flatnonzero(h[q, j + 2 :, j])
+                if below.size:
+                    i, hq = j + 2 + int(below[0]), h[q]
+                    hq[[j + 1, i]] = hq[[i, j + 1]]
+                    hq[:, [j + 1, i]] = hq[:, [i, j + 1]]
+        inv = [pow(x, -1, p) if x else 0 for x, p in zip(pivots.tolist(), plist)]
+        u = h[:, j + 2 :, j] * np.array(inv, dtype=np.int64)[:, None] % col
+        h[:, j + 2 :, j:] = (h[:, j + 2 :, j:] - u[:, :, None] * h[:, None, j + 1, j:]) % cube
+        h[:, :, j + 1] = (h[:, :, j + 1] + (h[:, :, j + 2 :] @ u[:, :, None])[:, :, 0]) % col
+    polys = np.zeros((n_primes, k + 1, k + 1), dtype=np.int64)
+    polys[:, 0, 0] = 1
+    t = np.ones((n_primes, k), dtype=np.int64)
+    for m in range(1, k + 1):
+        if m > 1:
+            t[:, : m - 1] = t[:, : m - 1] * h[:, m - 1, m - 2, None] % col
+        w = h[:, :m, m - 1] * t[:, :m] % col
+        new = polys[:, m, : m + 1]
+        new[:, 1:] = polys[:, m - 1, :m]
+        new[:, :m] -= (w[:, None, :] @ polys[:, :m, :m])[:, 0]
+        new %= col
+    return polys[:, k]
+
+
 def char_poly(mat) -> IntPoly:
-    """Exact monic characteristic polynomial det(xI - M) of an integer matrix."""
+    """Exact monic characteristic polynomial det(xI - M) of an integer matrix.
+
+    Computed modulo primes below 2^26 (``_char_poly_mod``, all primes in one
+    pass) and lifted by the Chinese remainder theorem to symmetric residues.
+    Their product exceeds 2B for a bound B on every coefficient, so the lift
+    is exact.  With k the order and F = ||M||_F^2, Schur's inequality gives
+    sum |lambda_i|^2 <= F; then Maclaurin's inequality and the power mean
+    give |e_i(lambda)| <= C(k, i) r^i with r = isqrt(ceil(F / k)) + 1, so
+    B = (1 + r)^k.  The prime size keeps k (p - 1)^2 below 2^63, and each
+    pass holds at most about 2^22 matrix entries.
+    """
     arr = np.asarray(mat)
-    n = arr.shape[0]
-    if arr.shape != (n, n):
+    k = arr.shape[0]
+    if arr.shape != (k, k):
         raise ValueError("matrix must be square")
     rows = []
     for row in arr.tolist():
@@ -173,10 +250,29 @@ def char_poly(mat) -> IntPoly:
             iv = int(v)
             if iv != v:
                 raise ValueError(f"non-integer entry {v!r}")
-            out.append(ZZ(iv))
+            out.append(iv)
         rows.append(out)
-    dm = DomainMatrix(rows, (n, n), ZZ)
-    return IntPoly.from_descending([int(c) for c in dm.charpoly()])
+    if k == 0:
+        return IntPoly((1,))
+    frob = sum(v * v for row in rows for v in row)
+    r = math.isqrt(-(-frob // k)) + 1
+    primes = _primes(min(26, (63 - (k - 1).bit_length()) // 2), 2 * (1 + r) ** k)
+    try:
+        exact = np.array(rows, dtype=np.int64)
+    except OverflowError:  # an entry beyond int64 is reduced as a Python int
+        exact = np.array(rows, dtype=object)
+    parr = np.array(primes, dtype=np.int64)
+    step = max(1, (1 << 22) // (k * k))
+    residues = np.concatenate([
+        _char_poly_mod((exact % ps.astype(exact.dtype)[:, None, None]).astype(np.int64), ps)
+        for ps in (parr[s : s + step] for s in range(0, len(primes), step))
+    ])
+    modulus = math.prod(primes)
+    cofactors = [modulus // p for p in primes]
+    weights = np.array([pow(c, -1, p) for c, p in zip(cofactors, primes)], dtype=np.int64)
+    scaled = (residues * weights[:, None] % parr[:, None]).T.astype(object)
+    lifted = (scaled @ np.array(cofactors, dtype=object) % modulus).tolist()
+    return IntPoly(tuple(c - modulus if 2 * c > modulus else c for c in lifted))
 
 
 def integer_roots(poly: IntPoly, bound: int) -> tuple[list[tuple[int, int]], IntPoly]:
@@ -442,8 +538,12 @@ def _equitable_quotient(mat, blocks, sizes=None) -> np.ndarray:
 
 
 def _power_of_linear(root: int, m: int) -> IntPoly:
-    """(x - root)^m, expanded with binomial coefficients."""
-    return IntPoly(tuple(math.comb(m, k) * (-root) ** (m - k) for k in range(m + 1)))
+    """(x - root)^m, each coefficient from the one above it: that of
+    x^(k-1) is that of x^k times k (-root) / (m - k + 1), an exact division."""
+    desc = [1]
+    for k in range(m, 0, -1):
+        desc.append(desc[-1] * k * -root // (m - k + 1))
+    return IntPoly.from_descending(desc)
 
 
 def _seeds(quotient: np.ndarray, totals: list[int]) -> np.ndarray | None:

@@ -50,7 +50,7 @@ class Graph:
 
     def __init__(self, labels, adj):
         labels = tuple(int(x) for x in labels)
-        adj = np.asarray(adj, dtype=bool)
+        adj = np.array(adj, dtype=bool)
         n = len(labels)
         if adj.shape != (n, n):
             raise ValueError(f"adjacency shape {adj.shape} does not match {n} labels")
@@ -58,9 +58,10 @@ class Graph:
             raise ValueError("vertex labels must be unique")
         if adj.diagonal().any():
             raise ValueError("simple graph: no loops allowed")
-        if not np.array_equal(adj, adj.T):
-            raise ValueError("adjacency must be symmetric")
-        adj = adj.copy()
+        rows = max(1, n // 16)  # each comparison's temporary is 1/16 of adj
+        for i in range(0, n, rows):
+            if not np.array_equal(adj[i : i + rows], adj[:, i : i + rows].T):
+                raise ValueError("adjacency must be symmetric")
         adj.setflags(write=False)
         self.labels = labels
         self.adj = adj

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to check the library.
 
 Everything here is deliberately naive and self-contained: dictionary BFS,
-pair-by-pair modular products, cofactor determinants over Fractions.  Tests
-compare the fast library implementations against these.
+pair-by-pair modular products, cofactor determinants over Fractions, and
+sympy's division-free Berkowitz characteristic polynomial.  Tests compare
+the fast library implementations against these.
 """
 
 from __future__ import annotations
@@ -10,6 +11,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd
+
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
 
 
 def brute_zdg_vertices(n: int) -> list[int]:
@@ -95,6 +99,12 @@ def naive_det(mat) -> Fraction:
         sign = -1 if j % 2 else 1
         total += sign * m[0][j] * naive_det(minor)
     return total
+
+
+def sympy_char_poly(mat) -> tuple[int, ...]:
+    """Ascending coefficients of det(xI - M) by sympy's Berkowitz over ZZ."""
+    rows = [[ZZ(int(v)) for v in row] for row in mat]
+    return tuple(reversed([int(c) for c in DomainMatrix(rows, (len(rows), len(rows)), ZZ).charpoly()]))
 
 
 def poly_from_roots(roots) -> list[int]:

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import naive_det
+from oracles import naive_det, sympy_char_poly
 from zdgecc import EquitabilityError, exact_linalg
 from zdgecc.eccentricity import eccentricity_matrix
 from zdgecc.exact_linalg import (
@@ -120,6 +121,24 @@ def test_char_poly_trace_zero_coefficient():
 def test_char_poly_rejects_non_integer():
     with pytest.raises(ValueError):
         char_poly([[0.5, 0], [0, 1]])
+
+
+def test_char_poly_rejects_a_non_square_matrix():
+    for mat in ([[1, 2]], [1, 2], np.zeros((2, 3), dtype=np.int64)):
+        with pytest.raises(ValueError, match="square"):
+            char_poly(mat)
+
+
+def test_char_poly_of_entries_beyond_int64():
+    mat = np.array([[2**70, 3, -1], [5, -(2**65) + 1, 0], [1, 2**64, 7]], dtype=object)
+    assert char_poly(mat).coeffs == sympy_char_poly(mat)
+
+
+def test_power_of_linear_equals_the_binomial_formula():
+    for root in range(-3, 4):
+        for m in range(41):
+            expected = tuple(math.comb(m, k) * (-root) ** (m - k) for k in range(m + 1))
+            assert exact_linalg._power_of_linear(root, m) == IntPoly(expected), (root, m)
 
 
 # ---------------------------------------------------------------------------
@@ -530,3 +549,39 @@ def test_certificate_of_a_million_vertices_needs_no_expansion():
     assert proc.returncode == 0, proc.stderr
     order, integer_roots_counted = map(int, proc.stdout.split())
     assert order == 599999 and 0 < integer_roots_counted <= order
+
+
+def test_certificate_of_a_quotient_of_order_178():
+    """The compressed model of Z_720720 has a twin quotient of order 178."""
+    src = str(Path(exact_linalg.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "from zdgecc.exact_linalg import twin_partition\n"
+        "from zdgecc.graphs import Decomposition\n"
+        "model = Decomposition.of(720720, 'compressed')\n"
+        "cert = model.certificate\n"
+        "print(len(twin_partition(model.sample_ecc)), model.n_vertices,\n"
+        "      cert.residual.degree + sum(m for _, m in cert.roots))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    quotient_order, order, degree = map(int, proc.stdout.split())
+    assert quotient_order == 178 and degree == order
+
+
+def test_char_poly_of_the_extended_quotient_of_720720(monkeypatch):
+    """An order-63 quotient whose row sums reach about 10^6."""
+    seen = []
+
+    def spy(mat):
+        seen.append(np.array(mat))
+        return char_poly(mat)
+
+    monkeypatch.setattr(exact_linalg, "char_poly", spy)
+    _fresh(720720, "extended").certificate
+    [quotient] = seen
+    assert quotient.shape == (63, 63) and np.abs(quotient).sum(axis=1).max() > 10**5
+    assert char_poly(quotient).coeffs == sympy_char_poly(quotient)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,21 @@ def test_graph_validation():
     adj[0, 1] = True
     with pytest.raises(ValueError):
         Graph([1, 2], adj)
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int8])
+def test_graph_construction_holds_one_copy_of_its_adjacency(dtype):
+    n = 2048
+    adj = np.zeros((n, n), dtype=dtype)
+    ring = np.arange(n)
+    adj[ring, (ring + 1) % n] = adj[(ring + 1) % n, ring] = 1
+    tracemalloc.start()
+    try:
+        Graph(range(n), adj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * adj.nbytes
 
 
 def test_build_zdg_examples():

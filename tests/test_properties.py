@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_ecc_matrix, brute_twin_blocks, brute_zdg_edges
+from oracles import brute_ecc_matrix, brute_twin_blocks, brute_zdg_edges, sympy_char_poly
 from zdgecc import exact_linalg
 from zdgecc.cli import main
 from zdgecc.eccentricity import eccentricity_matrix, is_irreducible
@@ -227,3 +227,31 @@ def test_class_graph_equals_the_dense_engine_on_its_expansion(model):
     got = np.array([v for v, m in _float_pairs(model) for _ in range(m)])
     want = np.array(eigenvalues_symmetric(mat))
     assert (np.abs(got - want) <= 1e-9 * np.maximum(1, np.abs(want))).all()
+
+
+# Besides small entries, the kernel's first two primes and their negatives:
+# each is 0 modulo itself and not modulo the other primes, so a pivot can
+# vanish modulo a single prime, and only that prime swaps a row and column.
+_FIRST_PRIMES = exact_linalg._primes(26, 1 << 26)
+_ENTRIES = [0, 1, -1, 2, -2, 7, -7, *_FIRST_PRIMES, *(-p for p in _FIRST_PRIMES)]
+_NEAR_2_62 = st.integers(2**62 - 2**10, 2**62) | st.integers(-(2**62), -(2**62) + 2**10)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices of order 0-24, not symmetric, entries from
+    ``_ENTRIES`` and up to three near +-2^62, which need many primes."""
+    k = draw(st.integers(0, 24))
+    cells = draw(st.lists(st.sampled_from(_ENTRIES), min_size=k * k, max_size=k * k))
+    m = np.array(cells, dtype=np.int64).reshape(k, k)
+    if k:
+        index = st.integers(0, k - 1)
+        for i, j, v in draw(st.lists(st.tuples(index, index, _NEAR_2_62), max_size=3)):
+            m[i, j] = v
+    return m
+
+
+@PROPERTY
+@given(integer_matrices())
+def test_char_poly_equals_sympys_berkowitz(m):
+    assert char_poly(m).coeffs == sympy_char_poly(m)
