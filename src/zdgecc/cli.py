@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+# argparse's gettext imports locale on the first parse; importing it at
+# start-up keeps that cost out of the first command's run time.
+import locale  # noqa: F401
 import math
 import os
 import sys

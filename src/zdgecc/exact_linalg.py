@@ -27,10 +27,12 @@ each lies within a few ulps of one of that matrix's float eigenvalues
 (Weyl's inequality: Horn and Johnson, *Matrix Analysis*, ch. 4).  Those
 eigenvalues seed the roots: integers near them are deflated exactly, and the
 other roots are bracketed around them and certified by exact sign tests, so
-a float error can only send the certificate to the complete path (a bounded
-integer scan and sympy's root isolation), never make it wrong.  Real roots
-are reported as midpoints of cells of one fixed 2^-44 grid, so both paths
-give the same floats.
+a float error can only send the certificate to the complete path, never
+make it wrong.  The complete path needs no floats: Yun's square-free
+decomposition over an exact integer gcd, then Descartes' rule of signs with
+exact bisection, which both finds the integer roots and isolates the rest.
+Real roots are reported as midpoints of cells of one fixed 2^-44 grid, so
+both paths give the same floats.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from sympy import Poly, Symbol
 
 from zdgecc.number_theory import is_prime
 
@@ -275,31 +276,6 @@ def char_poly(mat) -> IntPoly:
     return IntPoly(tuple(c - modulus if 2 * c > modulus else c for c in lifted))
 
 
-def integer_roots(poly: IntPoly, bound: int) -> tuple[list[tuple[int, int]], IntPoly]:
-    """All integer roots in [-bound, bound] of a monic polynomial, with
-    multiplicities, plus the residual.
-
-    A nonzero integer root divides the constant term, so only its divisors
-    are deflated, and every extraction is verified by exact synthetic
-    division.  The scan takes time linear in the bound.
-    """
-    if not poly.is_monic:
-        raise ValueError("integer_roots requires a monic polynomial")
-    work = poly
-    found: dict[int, int] = {}
-    while work.degree > 0 and work.coeffs[0] == 0:
-        work, _ = work.deflate(0)
-        found[0] = found.get(0, 0) + 1
-    for cand in range(-int(bound), int(bound) + 1):
-        while work.degree > 0 and cand and work.coeffs[0] % cand == 0:
-            quo, rem = work.deflate(cand)
-            if rem != 0:
-                break
-            work = quo
-            found[cand] = found.get(cand, 0) + 1
-    return sorted(found.items()), work
-
-
 def _sign_at(desc: list[int], num: int, den: int) -> int:
     """Sign at num / den (den > 0) of the polynomial with descending coefficients desc."""
     acc, scale = desc[0], 1
@@ -374,28 +350,235 @@ def _snap(desc: list[int], a: Fraction, b: Fraction) -> tuple[int, int]:
     return lo, hi
 
 
+def _trim(p: list[int]) -> list[int]:
+    """p without leading zero coefficients; [] is the zero polynomial."""
+    i = 0
+    while i < len(p) and p[i] == 0:
+        i += 1
+    return p[i:]
+
+
+def _primitive(p: list[int]) -> list[int]:
+    """Nonzero p divided by its content, with a positive leading coefficient."""
+    g = math.gcd(*p)
+    return [c // g for c in p] if p[0] > 0 else [-c // g for c in p]
+
+
+def _derivative(p: list[int]) -> list[int]:
+    return [c * k for c, k in zip(p, range(len(p) - 1, 0, -1))]
+
+
+def _sub(a: list[int], b: list[int]) -> list[int]:
+    n = max(len(a), len(b))
+    a, b = [0] * (n - len(a)) + a, [0] * (n - len(b)) + b
+    return _trim([x - y for x, y in zip(a, b)])
+
+
+def _divide(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials where b divides a in Z[x]."""
+    a, lead, out = list(a), b[0], []
+    for i in range(len(a) - len(b) + 1):
+        q = a[i] // lead
+        out.append(q)
+        if q:
+            for j in range(1, len(b)):
+                a[i + j] -= q * b[j]
+    return _trim(out)
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Greatest common divisor of nonzero integer polynomials, primitive
+    with a positive leading coefficient, by the primitive remainder sequence
+    (Cohen, *A Course in Computational Algebraic Number Theory*, §3.3)."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = a  # the pseudo-remainder of a by b, up to a constant factor
+        while len(r) >= len(b):
+            head, tail = r[0], r[1:]
+            if head:
+                lead = b[0]
+                tail = [lead * x - head * y for x, y in zip(tail, b[1:])] + [
+                    lead * x for x in tail[len(b) - 1 :]
+                ]
+            r = tail
+        r = _trim(r)
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return [1]
+
+
 def _parts(poly: IntPoly) -> list[tuple[list[int], int]]:
-    """sympy's square-free decomposition: (descending coefficients, multiplicity)."""
-    _, parts = Poly(list(reversed(poly.coeffs)), Symbol("x")).sqf_list()
-    return [([int(c) for c in part.all_coeffs()], mult) for part, mult in parts]
+    """Square-free decomposition by Yun's algorithm (SYMSAC 1976): the
+    parts of positive degree, as (descending coefficients, multiplicity) with
+    multiplicities ascending, of f = prod part^mult up to its content.
+
+    With a_1 = gcd(f, f'), b_1 = f / a_1 and c_1 = f' / a_1, each step
+    takes d_i = c_i - b_i', the part a_i = gcd(b_i, d_i), then
+    b_(i+1) = b_i / a_i and c_(i+1) = d_i / a_i, until b is constant.  Every
+    gcd is primitive, so by Gauss's lemma every division is exact in Z[x].
+    """
+    f = _trim(list(reversed(poly.coeffs)))
+    if len(f) < 2:
+        return []
+    f = _primitive(f)
+    df = _derivative(f)
+    a = _gcd(f, df)
+    b, c = _divide(f, a), _divide(df, a)
+    parts, mult = [], 1
+    while len(b) > 1:
+        d = _sub(c, _derivative(b))
+        a = _gcd(b, d) if d else b
+        if len(a) > 1:
+            parts.append((a, mult))
+        b, c = _divide(b, a), _divide(d, a)
+        mult += 1
+    return parts
+
+
+def _taylor_shift(p: list[int]) -> list[int]:
+    """Ascending coefficients of p(x + 1), p ascending."""
+    p = list(p)
+    for i in range(len(p) - 1):
+        for j in range(len(p) - 2, i - 1, -1):
+            p[j] += p[j + 1]
+    return p
+
+
+def _variations(p: list[int]) -> int:
+    """Sign changes in a coefficient sequence, zeros skipped, counted up to 2."""
+    count, last = 0, 0
+    for c in p:
+        if c:
+            if last and (c > 0) != (last > 0):
+                count += 1
+                if count == 2:
+                    return 2
+            last = c
+    return count
+
+
+def _positive_intervals(p: list[int]) -> list[tuple[Fraction, Fraction]]:
+    """Ascending isolating intervals of the positive roots of a square-free
+    integer polynomial p (ascending coefficients), by Descartes' rule of
+    signs with exact bisection (Collins and Akritas, SYMSAC 1976).
+
+    Every root lies below 2^e (Cauchy's bound), so those of q(x) = p(2^e x)
+    lie in (0, 1).  On an interval, mapped to (0, 1), the sign changes of
+    (x + 1)^n q(1 / (x + 1)) bound its roots in the open interval and match
+    their parity: none drops it, one isolates a root, more halve it.  A
+    midpoint that is a root is returned as (r, r), and an interval with a
+    root at an end is halved again, so no end of (a, b) is a root.
+    """
+    bound = 1 + -(-max(abs(c) for c in p[:-1]) // abs(p[-1]))
+    e = bound.bit_length()
+    q = [c << (e * i) for i, c in enumerate(p)]
+    out, stack = [], [(q, 0, 0, p[0] == 0, False)]
+    while stack:
+        q, c, k, lo_root, hi_root = stack.pop()
+        v = _variations(_taylor_shift(q[::-1]))
+        if v == 0:
+            continue
+        if v == 1 and not (lo_root or hi_root):
+            out.append((Fraction(c << e, 1 << k), Fraction((c + 1) << e, 1 << k)))
+            continue
+        m = len(q) - 1
+        left = [a << (m - i) for i, a in enumerate(q)]  # 2^m q(x / 2) on (0, 1/2)
+        g = math.gcd(*left)
+        left = [a // g for a in left]
+        right = _taylor_shift(left)  # on (1/2, 1)
+        mid_root = right[0] == 0
+        if mid_root:
+            mid = Fraction((2 * c + 1) << e, 1 << (k + 1))
+            out.append((mid, mid))
+        stack += [(right, 2 * c + 1, k + 1, mid_root, hi_root),
+                  (left, 2 * c, k + 1, lo_root, mid_root)]
+    return sorted(out)
+
+
+def _root_intervals(desc: list[int]) -> list[tuple[Fraction, Fraction]]:
+    """Ascending isolating intervals (a, b) of the real roots of a
+    square-free integer polynomial with descending coefficients desc:
+    exactly one root in (a, b), neither end a root, or a = b, a root."""
+    p = list(reversed(desc))
+    if len(p) < 2:
+        return []
+    flipped = [-c if i % 2 else c for i, c in enumerate(p)]  # p(-x)
+    zero = [(Fraction(0), Fraction(0))] if p[0] == 0 else []
+    return [(-b, -a) for a, b in reversed(_positive_intervals(flipped))] + zero + _positive_intervals(p)
+
+
+def _integer_in(desc: list[int], a: Fraction, b: Fraction) -> int | None:
+    """The root of desc in the isolating interval (a, b) if it is an
+    integer, else None: O(log(b - a)) exact sign tests, not b - a."""
+    if a == b:
+        return int(a) if a.denominator == 1 else None
+    lo, hi = math.floor(a) + 1, math.ceil(b) - 1  # the integers inside
+    if lo > hi:
+        return None
+    sign_a = _sign_at(desc, a.numerator, a.denominator)
+    s = _sign_at(desc, lo, 1)
+    if s != sign_a:
+        return lo if s == 0 else None
+    s = _sign_at(desc, hi, 1)
+    if s == sign_a:
+        return None
+    if s == 0:
+        return hi
+    while hi - lo > 1:  # the root is in (lo, hi), whose signs differ
+        mid = (lo + hi) // 2
+        s = _sign_at(desc, mid, 1)
+        if s == 0:
+            return mid
+        lo, hi = (mid, hi) if s == sign_a else (lo, mid)
+    return None
+
+
+def integer_roots(poly: IntPoly, bound: int) -> tuple[list[tuple[int, int]], IntPoly]:
+    """All integer roots in [-bound, bound] of a monic polynomial, with
+    multiplicities, plus the residual.
+
+    Each square-free part (``_parts``) has its real roots isolated
+    (``_root_intervals``); inside each interval that meets [-bound, bound],
+    bisection on integers finds the root if it is an integer.  The root is
+    then deflated as often as its part's multiplicity, each extraction
+    verified by exact synthetic division.  The time grows with the log of
+    the bound, not the bound.
+    """
+    if not poly.is_monic:
+        raise ValueError("integer_roots requires a monic polynomial")
+    bound = int(bound)
+    work = poly
+    found: dict[int, int] = {}
+    while work.degree > 0 and work.coeffs[0] == 0:
+        work, _ = work.deflate(0)
+        found[0] = found.get(0, 0) + 1
+    for desc, mult in _parts(work):
+        for a, b in _root_intervals(desc):
+            z = None if b < -bound or a > bound else _integer_in(desc, a, b)
+            if z is None or abs(z) > bound:
+                continue
+            for _ in range(mult):
+                work, rem = work.deflate(z)
+                if rem:
+                    raise ArithmeticError(f"{z} is not a root of multiplicity {mult}")
+            found[z] = mult
+    return sorted(found.items()), work
 
 
 def _isolate(poly: IntPoly) -> tuple:
     """Isolation (see ``_refine``) of every root of a monic integer
-    polynomial with no rational root, by sympy's ``Poly.intervals`` on each
-    square-free part; a part with fewer real roots than its degree raises
-    ArithmeticError."""
+    polynomial with no rational root: each square-free part's roots by
+    ``_root_intervals``, snapped to the grid; a part with fewer real roots
+    than its degree raises ArithmeticError."""
     out = []
     for desc, mult in _parts(poly):
-        part = Poly(desc, Symbol("x"))
-        intervals = part.intervals(sqf=True)
-        if len(intervals) != part.degree():
-            raise ArithmeticError(f"{part.as_expr()} has a non-real root")
-        brackets = tuple(
-            _snap(desc, Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q)))
-            for a, b in intervals
-        )
-        out.append((tuple(desc), mult, brackets))
+        intervals = _root_intervals(desc)
+        if len(intervals) != len(desc) - 1:
+            raise ArithmeticError(f"{IntPoly.from_descending(desc).text()} has a non-real root")
+        out.append((tuple(desc), mult, tuple(_snap(desc, a, b) for a, b in intervals)))
     return tuple(out)
 
 
@@ -403,11 +586,12 @@ def real_roots(poly: IntPoly) -> list[tuple[float, int]]:
     """Ascending real roots, with exact multiplicities, of a monic integer
     polynomial with no rational root, such as the ``integer_roots`` residual.
 
-    Multiplicities come from sympy's ``sqf_list``.  Each root of a square-free
-    part is isolated by ``Poly.intervals`` and bisected with exact integer
-    sign tests to its cell of the 2^-44 grid (no grid point is a root), whose
-    midpoint is reported.  A part with fewer real roots than its degree
-    raises ArithmeticError.
+    Multiplicities come from Yun's square-free decomposition (``_parts``).
+    Each root of a square-free part is isolated by Descartes' rule of signs
+    (``_root_intervals``) and bisected with exact integer sign tests to its
+    cell of the 2^-44 grid (no grid point is a root), whose midpoint is
+    reported.  A part with fewer real roots than its degree raises
+    ArithmeticError.
     """
     return list(_refine(_isolate(poly)))
 
@@ -418,8 +602,8 @@ class IntegralityCertificate:
     the residual that has no integer root.
 
     ``isolation`` holds the residual's roots as grid brackets (see
-    ``_refine``), or None to isolate them with ``real_roots``'s sympy route
-    on first use; ``residual_roots`` refines them once, when first read.
+    ``_refine``), or None to isolate them as ``real_roots`` does on first
+    use; ``residual_roots`` refines them once, when first read.
     """
 
     roots: tuple[tuple[int, int], ...]
@@ -593,9 +777,9 @@ def _seeded_roots(poly: IntPoly, seeds: np.ndarray):
     Each integer within delta of a seed is deflated exactly as often as it
     divides, and must account for as many seeds.  The residual's roots are
     bracketed around the other seeds (``_seeded_brackets``); when seeds
-    cluster within 2 delta (a repeated root), each part of sympy's
-    square-free decomposition is bracketed around the centres of the
-    clusters of its multiplicity.
+    cluster within 2 delta (a repeated root), each part of the residual's
+    square-free decomposition (``_parts``) is bracketed around the centres
+    of the clusters of its multiplicity.
     """
     seeds = seeds.tolist()
     delta = 2.0**-32 * max([1.0, *map(abs, seeds)])

@@ -58,7 +58,9 @@ class Graph:
             raise ValueError("vertex labels must be unique")
         if adj.diagonal().any():
             raise ValueError("simple graph: no loops allowed")
-        rows = max(1, n // 16)  # each comparison's temporary is 1/16 of adj
+        # one comparison up to 1024 vertices (at most a 1 MiB temporary);
+        # above that, each comparison's temporary is 1/16 of adj
+        rows = max(1, n if n <= 1024 else n // 16)
         for i in range(0, n, rows):
             if not np.array_equal(adj[i : i + rows], adj[:, i : i + rows].T):
                 raise ValueError("adjacency must be symmetric")

