@@ -228,6 +228,13 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 @functools.cache  # built once per process; parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -283,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_survey = sub.add_parser("survey", help="survey all composite n up to a bound")
     p_survey.add_argument("--max-n", type=int, required=True)
     p_survey.add_argument("--variant", choices=survey.VARIANTS, default="zdg")
-    p_survey.add_argument("--workers", type=int, default=1)
+    p_survey.add_argument("--workers", type=_positive_int, default=1,
+                          help="worker processes (>= 1)")
     p_survey.add_argument("--structure-only", action="store_true",
                           help="graph flags only; skip spectra and integrality")
     p_survey.add_argument("--cache", action="store_true",

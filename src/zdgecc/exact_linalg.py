@@ -8,11 +8,13 @@ closed-form eccentricity spectra.
 
 The characteristic polynomial is computed modulo primes below 2^26, all in
 one numpy pass (Hessenberg reduction, then Cohen's recurrence), and lifted
-by the Chinese remainder theorem.  The primes' product exceeds twice the
-coefficient bound (1 + r)^k, r = isqrt(ceil(||M||_F^2 / k)) + 1 for a k x k
-matrix (Schur's and Maclaurin's inequalities), so the lift is exact without
-any probabilistic check.  Determinants, inverses and the identity checks are
-implemented here independently, so the routes cross-validate.
+by the Chinese remainder theorem.  The primes' product exceeds twice a
+coefficient bound, the least of (1 + r)^k, r = isqrt(ceil(||M||_F^2 / k)) + 1
+for a k x k matrix (Schur's and Maclaurin's inequalities), and the products
+of 1 + ||row|| and of 1 + ||column|| (Hadamard's inequality), so the lift is
+exact without any probabilistic check.  Matrices of one order can share one
+pass.  Determinants, inverses and the identity checks are implemented here
+independently, so the routes cross-validate.
 ``integrality_certificate`` runs it only on the twin quotient of a matrix:
 twin blocks (``twin_partition``) form an equitable partition, checked on every
 call, whose ``k x k`` quotient carries every eigenvalue but the block factors
@@ -228,17 +230,96 @@ def _char_poly_mod(h: np.ndarray, primes: np.ndarray) -> np.ndarray:
     return polys[:, k]
 
 
+def _norm_product(squares: list[int]) -> int:
+    """The product of 1 + ceil(sqrt(s)) over the squared norms s."""
+    out = 1
+    for s in squares:
+        root = math.isqrt(s)
+        out *= 1 + root + (root * root < s)
+    return out
+
+
+def _coefficient_bounds(stack: np.ndarray) -> list[int]:
+    """A bound on every coefficient of det(xI - M), for each integer matrix
+    M of a (G, k, k) stack (int64, or object for entries beyond int64).
+
+    It is the least of three bounds.  With F = ||M||_F^2, Schur's
+    inequality gives sum |lambda_i|^2 <= F; then Maclaurin's inequality and
+    the power mean give |e_i(lambda)| <= C(k, i) r^i with
+    r = isqrt(ceil(F / k)) + 1, so (1 + r)^k bounds every coefficient.  The
+    coefficient of x^(k-i) is, up to sign, the sum of the i x i principal
+    minors; Hadamard's inequality bounds each minor by the product of its
+    rows' norms, each at most the whole row's norm, so the sum is at most
+    e_i of the row norms, and every coefficient is at most the product of
+    1 + ||row|| (norms rounded up); the same holds for the columns.
+    """
+    k = stack.shape[-1]
+    big = stack.dtype == object or k * int(np.abs(stack).max(initial=0)) ** 2 >= 1 << 63
+    squares = stack.astype(object) ** 2 if big else stack * stack
+    out = []
+    for rows, cols in zip(squares.sum(axis=2).tolist(), squares.sum(axis=1).tolist()):
+        r = math.isqrt(-(-sum(rows) // k)) + 1
+        out.append(min((1 + r) ** k, _norm_product(rows), _norm_product(cols)))
+    return out
+
+
+def _char_polys_of_order(stack: np.ndarray) -> list[IntPoly]:
+    """det(xI - M) of each integer matrix M of a (G, k, k) stack: one
+    ``_char_poly_mod`` pass over every (matrix, prime) pair, with the
+    primes of the largest coefficient bound in the stack.  Each pass holds
+    at most about 2^22 matrix entries; the residues are lifted by the
+    Chinese remainder theorem to symmetric residues."""
+    g, k = stack.shape[0], stack.shape[-1]
+    if k == 0:
+        return [IntPoly((1,))] * g
+    bound = max(_coefficient_bounds(stack))
+    primes = _primes(min(26, (63 - (k - 1).bit_length()) // 2), 2 * bound)
+    parr = np.array(primes, dtype=np.int64)
+    per_pass = max(1, (1 << 22) // (k * k))  # (matrix, prime) pairs
+    p_step = min(len(primes), per_pass)
+    m_step = per_pass // p_step
+    residues = np.empty((g, len(primes), k + 1), dtype=np.int64)
+    for a in range(0, g, m_step):
+        mats = stack[a : a + m_step, None]
+        for b in range(0, len(primes), p_step):
+            ps = parr[b : b + p_step]
+            h = (mats % ps.astype(stack.dtype)[:, None, None]).astype(np.int64, copy=False)
+            polys = _char_poly_mod(h.reshape(-1, k, k), np.tile(ps, len(mats)))
+            residues[a : a + m_step, b : b + p_step] = polys.reshape(len(mats), len(ps), k + 1)
+    modulus = math.prod(primes)
+    cofactors = [modulus // p for p in primes]
+    weights = np.array([pow(c, -1, p) for c, p in zip(cofactors, primes)], dtype=np.int64)
+    scaled = (residues * weights[:, None] % parr[:, None]).transpose(0, 2, 1).astype(object)
+    lifted = (scaled @ np.array(cofactors, dtype=object) % modulus).tolist()
+    return [IntPoly(tuple(c - modulus if 2 * c > modulus else c for c in row)) for row in lifted]
+
+
+def _by_order(stacks: list[np.ndarray], kernel) -> list:
+    """``kernel`` applied once to the concatenation of the (G, k, k) stacks
+    of each matrix order k, its result split back per stack."""
+    out: list = [None] * len(stacks)
+    by_order: dict[int, list[int]] = {}
+    for i, stack in enumerate(stacks):
+        by_order.setdefault(stack.shape[-1], []).append(i)
+    for idx in by_order.values():
+        result = kernel(np.concatenate([stacks[i] for i in idx]))
+        start = 0
+        for i in idx:
+            out[i] = result[start : start + len(stacks[i])]
+            start += len(stacks[i])
+    return out
+
+
 def char_poly(mat) -> IntPoly:
     """Exact monic characteristic polynomial det(xI - M) of an integer matrix.
 
     Computed modulo primes below 2^26 (``_char_poly_mod``, all primes in one
     pass) and lifted by the Chinese remainder theorem to symmetric residues.
-    Their product exceeds 2B for a bound B on every coefficient, so the lift
-    is exact.  With k the order and F = ||M||_F^2, Schur's inequality gives
-    sum |lambda_i|^2 <= F; then Maclaurin's inequality and the power mean
-    give |e_i(lambda)| <= C(k, i) r^i with r = isqrt(ceil(F / k)) + 1, so
-    B = (1 + r)^k.  The prime size keeps k (p - 1)^2 below 2^63, and each
-    pass holds at most about 2^22 matrix entries.
+    Their product exceeds 2B for a bound B on every coefficient
+    (``_coefficient_bounds``), so the lift is exact.  The prime size keeps
+    k (p - 1)^2 below 2^63 for a k x k matrix, and each pass holds at most
+    about 2^22 matrix entries.  This is the batch of one of
+    ``_char_polys_of_order``.
     """
     arr = np.asarray(mat)
     k = arr.shape[0]
@@ -253,27 +334,11 @@ def char_poly(mat) -> IntPoly:
                 raise ValueError(f"non-integer entry {v!r}")
             out.append(iv)
         rows.append(out)
-    if k == 0:
-        return IntPoly((1,))
-    frob = sum(v * v for row in rows for v in row)
-    r = math.isqrt(-(-frob // k)) + 1
-    primes = _primes(min(26, (63 - (k - 1).bit_length()) // 2), 2 * (1 + r) ** k)
     try:
-        exact = np.array(rows, dtype=np.int64)
+        exact = np.array(rows, dtype=np.int64).reshape(k, k)
     except OverflowError:  # an entry beyond int64 is reduced as a Python int
         exact = np.array(rows, dtype=object)
-    parr = np.array(primes, dtype=np.int64)
-    step = max(1, (1 << 22) // (k * k))
-    residues = np.concatenate([
-        _char_poly_mod((exact % ps.astype(exact.dtype)[:, None, None]).astype(np.int64), ps)
-        for ps in (parr[s : s + step] for s in range(0, len(primes), step))
-    ])
-    modulus = math.prod(primes)
-    cofactors = [modulus // p for p in primes]
-    weights = np.array([pow(c, -1, p) for c, p in zip(cofactors, primes)], dtype=np.int64)
-    scaled = (residues * weights[:, None] % parr[:, None]).T.astype(object)
-    lifted = (scaled @ np.array(cofactors, dtype=object) % modulus).tolist()
-    return IntPoly(tuple(c - modulus if 2 * c > modulus else c for c in lifted))
+    return _char_polys_of_order(exact[None])[0]
 
 
 def _sign_at(desc: list[int], num: int, den: int) -> int:
@@ -690,35 +755,40 @@ def _equitable_quotient(mat, blocks, sizes=None) -> np.ndarray:
     sum into its own block gains (sizes[i] - 1) * (c - d), c the block's
     entry between two of its rows and d the row's diagonal entry.  A block
     standing for no row, or for several rows but holding one (its c unseen),
-    raises ValueError.
+    raises ValueError.  ``sizes`` may also be a (G, rows) stack of
+    weightings; the result is then the (G, B, B) stack of their quotients,
+    and the first weighting at fault names the error.
     """
     arr = _integer_matrix(mat)
     sizes = np.ones(len(arr), dtype=np.int64) if sizes is None else np.asarray(sizes, dtype=np.int64)
-    if sizes.shape != (len(arr),):
+    if sizes.shape[-1:] != (len(arr),) or sizes.ndim > 2:
         raise ValueError(f"{sizes.size} sizes for {len(arr)} rows")
+    stack = np.atleast_2d(sizes)
     owner = np.empty(len(arr), dtype=np.int64)  # block index of each row
     for a, block in enumerate(blocks):
         owner[list(block)] = a
     member = np.eye(len(blocks), dtype=np.int64)[owner]
-    totals = sizes @ member
+    totals = stack @ member
     wrong = (totals == 0) | ((member.sum(axis=0) == 1) & (totals > 1))
     if wrong.any():
-        a = int(wrong.argmax())
-        raise ValueError(f"block {a} holds {len(blocks[a])} rows standing for {totals[a]}")
+        g, a = np.unravel_index(int(wrong.argmax()), wrong.shape)
+        raise ValueError(f"block {a} holds {len(blocks[a])} rows standing for {totals[g, a]}")
     reps = [b[0] for b in blocks]
     c = arr[reps, [b[len(b) > 1] for b in blocks]]  # a one-row block reads d: c - d = 0
-    sums = arr @ (sizes[:, None] * member)
-    sums += member * ((sizes - 1) * (c[owner] - np.diagonal(arr)))[:, None]
-    bad = sums != sums[reps][owner]
+    sums = arr @ (stack[:, :, None] * member)
+    sums += member * ((stack - 1) * (c[owner] - np.diagonal(arr)))[:, :, None]
+    bad = sums != sums[:, reps][:, owner]
     if bad.any():
-        i = int(owner[bad.any(axis=1)].min())
+        g = int(bad.any(axis=(1, 2)).argmax())
+        i = int(owner[bad[g].any(axis=1)].min())
         rows = list(blocks[i])
-        j = int(bad[rows].any(axis=0).argmax())
+        j = int(bad[g, rows].any(axis=0).argmax())
         raise EquitabilityError(
-            f"blocks ({i}, {j}): rows {[r for r in rows if bad[r, j]]} have block sums "
-            f"{sorted(set(sums[rows, j].tolist()))}, expected constant"
+            f"blocks ({i}, {j}): rows {[r for r in rows if bad[g, r, j]]} have block sums "
+            f"{sorted(set(sums[g, rows, j].tolist()))}, expected constant"
         )
-    return sums[reps]
+    quotients = sums[:, reps]
+    return quotients if sizes.ndim == 2 else quotients[0]
 
 
 def _power_of_linear(root: int, m: int) -> IntPoly:
@@ -730,14 +800,19 @@ def _power_of_linear(root: int, m: int) -> IntPoly:
     return IntPoly.from_descending(desc)
 
 
+def _symmetrizable(quotient: np.ndarray, totals) -> bool:
+    """Whether t_a Q_ab = t_b Q_ba throughout, checked exactly: then Q is
+    similar to the symmetric diag(sqrt t) Q diag(1/sqrt t)."""
+    weighted = np.array(totals, dtype=object)[:, None] * quotient.astype(object)
+    return bool((weighted == weighted.T).all())
+
+
 def _seeds(quotient: np.ndarray, totals: list[int]) -> np.ndarray | None:
     """Float eigenvalues, ascending, of a quotient whose blocks stand for
-    ``totals`` rows, or None unless t_a Q_ab = t_b Q_ba throughout (checked
-    exactly).  Then Q is similar to the symmetric diag(sqrt t) Q
-    diag(1/sqrt t), so every eigenvalue is real, and LAPACK returns each
-    to within a few ulps of that matrix's norm (Weyl)."""
-    weighted = np.array(totals, dtype=object)[:, None] * quotient.astype(object)
-    if not (weighted == weighted.T).all():
+    ``totals`` rows, or None unless it is ``_symmetrizable``.  Then every
+    eigenvalue is real, and LAPACK returns each to within a few ulps of the
+    symmetric matrix's norm (Weyl)."""
+    if not _symmetrizable(quotient, totals):
         return None
     root = np.sqrt(np.array(totals, dtype=np.float64))
     try:
@@ -834,15 +909,59 @@ def integrality_certificate(mat, sizes=None) -> IntegralityCertificate:
     expanded: the block factors join ``roots``, and ``poly`` multiplies
     everything out only when read.
     """
-    arr = _integer_matrix(mat)
-    if not np.array_equal(arr, arr.T):
-        raise ValueError("integrality test expects a symmetric integer matrix")
-    sizes = [1] * len(arr) if sizes is None else [int(m) for m in sizes]
-    blocks = twin_partition(arr)
-    quotient = _equitable_quotient(arr, blocks, sizes)
-    totals = [sum(sizes[i] for i in block) for block in blocks]
-    poly = char_poly(quotient)
-    seeds = _seeds(quotient, totals)
+    return _certificates([(mat, None if sizes is None else [sizes], None)])[0][0]
+
+
+def _char_polys(stack: np.ndarray) -> list[IntPoly]:
+    """det(xI - M) of each matrix of a (G, k, k) stack: ``char_poly`` for a
+    stack of one, one ``_char_polys_of_order`` pass for more."""
+    return [char_poly(stack[0])] if len(stack) == 1 else _char_polys_of_order(stack)
+
+
+def _certificates(jobs) -> list[list[IntegralityCertificate]]:
+    """``integrality_certificate(mat, sizes)`` for each weighting ``sizes``
+    of each job ``(mat, weightings, eigenvalues)``: ``weightings`` a list of
+    sizes rows, or None for the one weighting of all ones; ``eigenvalues``
+    None, or one ascending float row per weighting of the symmetric
+    diag(sqrt t) Q diag(1/sqrt t) of a quotient with that many blocks (a
+    class model's S, when its classes are its twin blocks).
+
+    Each matrix's twin blocks are found once and all its quotients built by
+    one ``_equitable_quotient`` call; the quotients' characteristic
+    polynomials take one pass per quotient order.  Given eigenvalues seed a
+    quotient's roots once t_a Q_ab = t_b Q_ba holds exactly; otherwise
+    ``_seeds`` computes them.
+    """
+    prepared = []
+    for mat, weightings, eigenvalues in jobs:
+        arr = _integer_matrix(mat)
+        if not np.array_equal(arr, arr.T):
+            raise ValueError("integrality test expects a symmetric integer matrix")
+        blocks = twin_partition(arr)
+        weights = np.array([[1] * len(arr)] if weightings is None else weightings, dtype=np.int64)
+        quotients = _equitable_quotient(arr, blocks, weights)
+        prepared.append((arr, blocks, weights.tolist(), eigenvalues, quotients))
+    polys = _by_order([quotients for *_, quotients in prepared], _char_polys)
+    out = []
+    for (arr, blocks, weights, eigenvalues, quotients), job_polys in zip(prepared, polys):
+        certs = []
+        for g, (row, quotient, poly) in enumerate(zip(weights, quotients, job_polys)):
+            totals = [sum(row[i] for i in block) for block in blocks]
+            if eigenvalues is not None and len(eigenvalues[g]) == len(blocks):
+                seeds = eigenvalues[g] if _symmetrizable(quotient, totals) else None
+            else:
+                seeds = _seeds(quotient, totals)
+            certs.append(_certify(arr, blocks, totals, quotient, poly, seeds))
+        out.append(certs)
+    return out
+
+
+def _certify(arr, blocks, totals, quotient, poly, seeds) -> IntegralityCertificate:
+    """The certificate of a matrix ``arr`` whose twin ``blocks`` stand for
+    ``totals`` rows, from its ``quotient``, the quotient's characteristic
+    polynomial ``poly`` and its float eigenvalues ``seeds`` (None when there
+    are none): the seeded roots, else the complete path, then the block
+    factors."""
     seeded = None if seeds is None else _seeded_roots(poly, seeds)
     if seeded is None:  # the complete path
         bound = int(np.abs(quotient).sum(axis=1).max()) if quotient.size else 0

@@ -21,6 +21,7 @@ the class model, as the reference it is tested against.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -247,10 +248,11 @@ class ClassGraph:
 
     @functools.cached_property
     def degrees(self) -> tuple[int, ...]:
-        """Vertex degree in each class."""
+        """Vertex degree in each class: adj @ sizes less the loop, in
+        Python ints, exact for any size."""
         return tuple(
-            sum(self.sizes[j] for j in np.flatnonzero(row).tolist()) - int(row[i])
-            for i, row in enumerate(self.adj)
+            sum(itertools.compress(self.sizes, row)) - row[i]
+            for i, row in enumerate(self.adj.tolist())
         )
 
     @functools.cached_property
@@ -320,14 +322,19 @@ class ClassGraph:
 
         return is_irreducible(self.sample_ecc)
 
+    @property
+    def sample_weights(self) -> list[int]:
+        """How many vertices of the graph each sample vertex stands for: a
+        first vertex its whole class, a second vertex none (it only
+        witnesses the class's entry c)."""
+        return [*self.sizes, *[0] * len(self._seconds)]
+
     @functools.cached_property
     def certificate(self) -> IntegralityCertificate:
-        """``integrality_certificate`` of E, from the sample: a first vertex
-        stands for its whole class, a second vertex for none (it only
-        witnesses the class's entry c), so ``char_poly`` runs once per
-        model, on the quotient the dense path would build."""
-        sizes = [*self.sizes, *[0] * len(self._seconds)]
-        return integrality_certificate(self.sample_ecc, sizes)
+        """``integrality_certificate`` of E, from the sample weighted by
+        ``sample_weights``, so ``char_poly`` runs once per model, on the
+        quotient the dense path would build."""
+        return integrality_certificate(self.sample_ecc, self.sample_weights)
 
     def _induced(self, cls, labels) -> Graph:
         """The graph on one vertex per entry of ``cls`` (its class index),

@@ -53,25 +53,35 @@ def eigenvalues_symmetric(mat, tol: float = 1e-8) -> list[float]:
     Verifies the backward error ||M V - V diag(w)||_F <= tol * max(1, ||M||_F)
     on the returned eigenvectors before returning, so every eigenvalue handed
     out carries the same residual bound whatever the solver did internally.
+    This is the batch of one of ``_eigenvalues_checked``.
     """
     a = np.asarray(mat, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
+    return _eigenvalues_checked(a[None], tol)[0].tolist()
+
+
+def _eigenvalues_checked(stack: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """Ascending eigenvalues (G, k) of each real symmetric matrix of a
+    (G, k, k) float64 stack, from one LAPACK call, with the backward error
+    of ``eigenvalues_symmetric`` checked on each matrix."""
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if not np.isfinite(a).all():
+    if not np.isfinite(stack).all():
         raise ValueError("matrix has a non-finite entry")
-    if a.size and float(np.abs(a - a.T).max()) > 1e-12:
+    if stack.size and float(np.abs(stack - stack.transpose(0, 2, 1)).max()) > 1e-12:
         raise ValueError("matrix is not symmetric within 1e-12")
     try:
-        w, v = np.linalg.eigh(a)
+        w, v = np.linalg.eigh(stack)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigh failed: {exc}") from None
-    bound = tol * max(1.0, float(np.linalg.norm(a, "fro")))
-    back = float(np.linalg.norm(a @ v - v * w, "fro"))
-    if not back <= bound:  # also fails on NaN
-        raise ConvergenceError(f"backward error {back:g} exceeds {tol:g} * max(1, ||M||)")
-    return w.tolist()
+    bound = tol * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
+    back = np.linalg.norm(stack @ v - v * w[:, None, :], axis=(1, 2))
+    if not (back <= bound).all():  # also fails on NaN
+        raise ConvergenceError(
+            f"backward error {float(back.max()):g} exceeds {tol:g} * max(1, ||M||)"
+        )
+    return w
 
 
 @dataclass(frozen=True)
@@ -186,22 +196,36 @@ class Spectrum:
 def _cluster(pairs: list[tuple[float, int]], tol: float) -> list[tuple[float, int]]:
     """Group (value, multiplicity) pairs, ascending by value, into
     (mean, count) clusters at absolute tol; the mean is weighted by
-    multiplicity."""
+    multiplicity (its sum taken left to right, as ``sum`` would)."""
     out: list[tuple[float, int]] = []
-    group: list[tuple[float, int]] = []
-
-    def close():
-        count = sum(m for _, m in group)
-        out.append((sum(v * m for v, m in group) / count, count))
-
+    last = None
     for v, m in pairs:
-        if group and v - group[-1][0] > tol:
-            close()
-            group = []
-        group.append((v, m))
-    if group:
-        close()
+        if last is None or v - last > tol:
+            if last is not None:
+                out.append((total / count, count))
+            total = count = 0
+        total += v * m
+        count += m
+        last = v
+    if last is not None:
+        out.append((total / count, count))
     return out
+
+
+def _class_matrices(ecc: np.ndarray, sizes) -> np.ndarray:
+    """The (G, k, k) stack of S = diag(sqrt m) C diag(sqrt m) - diag(c), one
+    per row m of ``sizes`` (G x k), for class eccentricity data ``ecc``
+    (C with c on its diagonal)."""
+    root = np.sqrt(np.array(sizes, dtype=np.float64))
+    return ecc * (root[:, :, None] * root[:, None, :]) - np.diag(np.diagonal(ecc))
+
+
+def _class_pairs(eigenvalues, ecc: np.ndarray, sizes) -> list[tuple[float, int]]:
+    """Ascending (eigenvalue, multiplicity) pairs of a class model with
+    sizes m: S's eigenvalues, plus -c_d with multiplicity m_d - 1 per class."""
+    pairs = [(v, 1) for v in eigenvalues]
+    pairs += [(-float(cd), m - 1) for cd, m in zip(np.diagonal(ecc).tolist(), sizes) if m > 1]
+    return sorted(pairs)
 
 
 def _float_pairs(source) -> list[tuple[float, int]]:
@@ -209,12 +233,16 @@ def _float_pairs(source) -> list[tuple[float, int]]:
     the matrix itself, or of a class model's S plus its class eigenvalues."""
     if not isinstance(source, ClassGraph):
         return [(v, 1) for v in eigenvalues_symmetric(source)]
-    c = np.diagonal(source.ecc)
-    root = np.sqrt(np.array(source.sizes, dtype=np.float64))
-    s = source.ecc * np.outer(root, root) - np.diag(c)
-    pairs = [(v, 1) for v in eigenvalues_symmetric(s)]
-    pairs += [(-float(cd), m - 1) for cd, m in zip(c.tolist(), source.sizes) if m > 1]
-    return sorted(pairs)
+    s = _class_matrices(source.ecc, [source.sizes])[0]
+    return _class_pairs(eigenvalues_symmetric(s), source.ecc, source.sizes)
+
+
+def _float_spectrum(pairs: list[tuple[float, int]], cluster_tol: float) -> Spectrum:
+    """The float spectrum of ascending (eigenvalue, multiplicity) pairs,
+    clustered at cluster_tol."""
+    return Spectrum.from_pairs(
+        [(v, m, False) for v, m in _cluster(pairs, cluster_tol)], cluster_tol=cluster_tol
+    )
 
 
 def spectrum(
@@ -242,10 +270,7 @@ def spectrum(
     if mode == "auto":
         mode = "exact" if n <= exact_cap else "float"
     if mode == "float":
-        return Spectrum.from_pairs(
-            [(v, m, False) for v, m in _cluster(_float_pairs(source), cluster_tol)],
-            cluster_tol=cluster_tol,
-        )
+        return _float_spectrum(_float_pairs(source), cluster_tol)
     if n > exact_cap:
         raise OversizeError(f"order {n} exceeds exact cap {exact_cap}")
     cert = integrality_certificate(source) if model is None else model.certificate

@@ -5,11 +5,21 @@ survey is deterministic and independent of the worker count; records are
 always emitted sorted by n.  A record reads the class model
 (``graphs.Decomposition``) of its (n, variant) and never builds the V x V
 graph.
+
+Records are computed in batches (``survey_records``).  The graph of a model
+is the generalized join of its class adjacency over classes of the given
+sizes (Cardoso, de Freitas, Martins and Robbiano, Discrete Math., 2013), so
+every field of a record is a function of that adjacency and the sizes.
+Models that share an adjacency pattern (``adj`` and which classes have two
+or more vertices) share their sample, its eccentricity matrix, C,
+irreducibility and twin blocks: those are read once per pattern, from its
+first model.  The numeric kernels run once per matrix order: one checked
+eigensolve of every S, and one characteristic-polynomial pass of every twin
+quotient (``exact_linalg._certificates``).
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import multiprocessing
 import os
@@ -19,10 +29,95 @@ import subprocess  # noqa: F401
 from pathlib import Path
 
 import zdgecc
+from zdgecc import exact_linalg
 from zdgecc.graphs import VARIANTS, Decomposition
 from zdgecc.number_theory import is_prime
 from zdgecc.report import spectral_fields, structure_fields
-from zdgecc.spectra import DEFAULT_CLUSTER_TOL, DEFAULT_EXACT_CAP, spectrum
+from zdgecc.spectra import (
+    DEFAULT_CLUSTER_TOL,
+    DEFAULT_EXACT_CAP,
+    _class_matrices,
+    _class_pairs,
+    _eigenvalues_checked,
+    _float_spectrum,
+)
+
+
+def _groups(models) -> list[list[Decomposition]]:
+    """The models grouped by pattern: ``adj`` and which classes have two or
+    more vertices (those the sample holds twice), in order of first
+    appearance.  A group's first model stands for its pattern: its sample,
+    E, C, irreducibility and twin blocks are every member's."""
+    groups: dict[tuple, list[Decomposition]] = {}
+    for model in models:
+        key = (model.adj.tobytes(), len(model.sizes), bytes(m >= 2 for m in model.sizes))
+        groups.setdefault(key, []).append(model)
+    return list(groups.values())
+
+
+def _set_integrality(rec: dict, cert: exact_linalg.IntegralityCertificate) -> None:
+    rec["integral"] = cert.integral
+    rec["residual"] = None if cert.integral else cert.residual.text()
+
+
+def _records(
+    groups: list[list[Decomposition]],
+    structure_only: bool = False,
+    exact_cap: int = DEFAULT_EXACT_CAP,
+    cluster_tol: float = DEFAULT_CLUSTER_TOL,
+) -> list[dict]:
+    """The records of every model of the groups, group by group."""
+    records = [
+        [{"kind": "survey", "n": m.n, "variant": m.variant, **structure_fields(m)} for m in group]
+        for group in groups
+    ]
+    if structure_only:
+        return [rec for recs in records for rec in recs]
+    # one checked eigensolve of every S of each order
+    stacks = [_class_matrices(group[0].ecc, [m.sizes for m in group]) for group in groups]
+    jobs, waiting = [], []  # per pattern: its certificate job, its (model, record) pairs
+    for group, recs, ws in zip(groups, records, exact_linalg._by_order(stacks, _eigenvalues_checked)):
+        pattern, todo = group[0], []
+        for model, rec, w in zip(group, recs, ws):
+            spec = _float_spectrum(_class_pairs(w.tolist(), pattern.ecc, model.sizes), cluster_tol)
+            rec.update(spectral_fields(pattern, spec, rec["connected"]))
+            rec["integral"] = rec["residual"] = None
+            if rec["vertices"] > exact_cap:
+                continue
+            if "certificate" in vars(model):  # cached on the model (a cached_property)
+                _set_integrality(rec, model.certificate)
+            else:
+                todo.append((model, rec, w))
+        if todo:
+            # S's eigenvalues seed the twin quotient when the classes are its blocks
+            jobs.append((pattern.sample_ecc, [m.sample_weights for m, _, _ in todo],
+                         [w for _, _, w in todo]))
+            waiting.append(todo)
+    for todo, certs in zip(waiting, exact_linalg._certificates(jobs)):
+        for (model, rec, _), cert in zip(todo, certs):
+            vars(model)["certificate"] = cert  # as the cached_property would store it
+            _set_integrality(rec, cert)
+    return [rec for recs in records for rec in recs]
+
+
+def survey_records(
+    ns,
+    variant: str = "zdg",
+    *,
+    structure_only: bool = False,
+    exact_cap: int = DEFAULT_EXACT_CAP,
+    cluster_tol: float = DEFAULT_CLUSTER_TOL,
+) -> list[dict]:
+    """The survey record of each composite n of ``ns``, in order, computed
+    in one batch: the sample and its E once per adjacency pattern, one
+    checked eigensolve and one characteristic-polynomial pass per matrix
+    order.
+    Each record equals the one ``survey_record`` gives alone."""
+    ns = list(ns)
+    groups = _groups(Decomposition.of(n, variant) for n in ns)
+    by_n = {rec["n"]: rec for rec in _records(
+        groups, structure_only=structure_only, exact_cap=exact_cap, cluster_tol=cluster_tol)}
+    return [by_n[n] for n in ns]
 
 
 def survey_record(
@@ -33,32 +128,37 @@ def survey_record(
     exact_cap: int = DEFAULT_EXACT_CAP,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> dict:
-    model = Decomposition.of(n, variant)
-    rec = {"kind": "survey", "n": n, "variant": variant, **structure_fields(model)}
-    if structure_only:
-        return rec
-    spec = spectrum(model, "float", cluster_tol=cluster_tol)
-    rec.update(spectral_fields(model, spec, rec["connected"]))
-    cert = model.certificate if model.n_vertices <= exact_cap else None
-    rec["integral"] = None if cert is None else cert.integral
-    rec["residual"] = None if cert is None or cert.integral else cert.residual.text()
-    return rec
+    """The survey record of one composite n: the batch of one."""
+    return survey_records([n], variant, structure_only=structure_only,
+                          exact_cap=exact_cap, cluster_tol=cluster_tol)[0]
 
 
-def _cache_key(n: int, variant: str, opts: dict) -> str:
-    # "eigensolver" and "engine" name the solver and the matrices behind the
-    # cached floats (the class model's k x k S, not the dense V x V E), so
-    # entries written by another solver or engine, which differ in float
-    # noise, are misses, not mixed into fresh records
-    material = {"n": n, "variant": variant, "version": zdgecc.__version__,
-                "eigensolver": "eigh", "engine": "class", **opts}
-    blob = json.dumps(material, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+def _cache_name(n: int, variant: str, opts: dict) -> str:
+    """The file name of a record's cache entry, spelled out from its key
+    material.  "eigh" and "class" name the solver and the matrices behind
+    the cached floats (the class model's k x k S, not the dense V x V E), so
+    entries written by another solver or engine, which differ in float
+    noise, are misses, not mixed into fresh records."""
+    name = (f"{variant}_n{n}_cap{int(opts['exact_cap'])}"
+            f"_tol{float(opts['cluster_tol'])!r}_v{zdgecc.__version__}_eigh_class")
+    return name + ("_structure" if opts["structure_only"] else "") + ".json"
 
 
 def _worker(task):
-    n, variant, opts = task
-    return survey_record(n, variant, **opts)
+    groups, opts = task
+    return _records(groups, **opts)
+
+
+def _tasks(groups: list[list[Decomposition]], workers: int) -> list[list[list[Decomposition]]]:
+    """Whole groups dealt into one task per worker, largest group first,
+    each to the task with the fewest records so far."""
+    tasks: list[list[list[Decomposition]]] = [[] for _ in range(min(len(groups), workers))]
+    load = [0] * len(tasks)
+    for group in sorted(groups, key=len, reverse=True):
+        i = load.index(min(load))
+        tasks[i].append(group)
+        load[i] += len(group)
+    return tasks
 
 
 def run_survey(
@@ -74,6 +174,8 @@ def run_survey(
     """Records for every composite 4 <= n <= max_n, sorted by n."""
     if max_n < 4:
         raise ValueError("max_n must be at least 4")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     opts = {
         "structure_only": structure_only,
         "exact_cap": exact_cap,
@@ -85,10 +187,10 @@ def run_survey(
     cache_path = Path(cache_dir) if cache_dir is not None else None
     if cache_path is not None:
         cache_path.mkdir(parents=True, exist_ok=True)
+        entries = {n: cache_path / _cache_name(n, variant, opts) for n in ns}
         for n in ns:
-            f = cache_path / (_cache_key(n, variant, opts) + ".json")
             try:
-                rec = json.loads(f.read_text())
+                rec = json.loads(entries[n].read_text())
             except (OSError, ValueError):
                 rec = None
             # a missing or unreadable entry, or one for another (n, variant),
@@ -99,19 +201,19 @@ def run_survey(
                 todo.append(n)
     else:
         todo = ns
-    tasks = [(n, variant, opts) for n in todo]
+    groups = _groups(Decomposition.of(n, variant) for n in todo)
     workers = min(workers, os.cpu_count() or 1)
-    if workers > 1 and len(tasks) > 1:
+    if workers > 1 and len(groups) > 1:
         with multiprocessing.Pool(workers) as pool:
-            fresh = pool.map(_worker, tasks)
+            fresh = pool.map(_worker, [(task, opts) for task in _tasks(groups, workers)])
     else:
-        fresh = [_worker(t) for t in tasks]
-    for n, rec in zip(todo, fresh):
+        fresh = [_records(groups, **opts)]
+    for rec in (rec for recs in fresh for rec in recs):
+        n = rec["n"]
         records[n] = rec
         if cache_path is not None:
             # write a temp file and rename it, so no reader sees a partial entry
-            f = cache_path / (_cache_key(n, variant, opts) + ".json")
-            tmp = f.with_name(f"{f.name}.{os.getpid()}.tmp")
+            tmp = entries[n].with_name(f"{entries[n].name}.{os.getpid()}.tmp")
             tmp.write_text(json.dumps(rec, sort_keys=True))
-            os.replace(tmp, f)
+            os.replace(tmp, entries[n])
     return [records[n] for n in ns]

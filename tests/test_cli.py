@@ -678,3 +678,13 @@ def test_dense_checks_the_dump_size_before_building(monkeypatch):
         model.dense(bytes_per_cell=9)
     code = main(["spectrum", "--n", "12", "--dump-matrix", os.devnull])
     assert code == 3
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_survey_workers_must_be_positive(capsys, workers):
+    with pytest.raises(SystemExit) as exc:
+        main(["survey", "--max-n", "20", "--workers", workers])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--workers" in err and ">= 1" in err

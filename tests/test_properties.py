@@ -255,3 +255,28 @@ def integer_matrices(draw):
 @given(integer_matrices())
 def test_char_poly_equals_sympys_berkowitz(m):
     assert char_poly(m).coeffs == sympy_char_poly(m)
+
+
+@PROPERTY
+@given(integer_matrices())
+def test_char_poly_coefficients_lie_within_the_certified_bound(m):
+    """Every coefficient is within the least of the three bounds, which is
+    never above the bound (1 + r)^k from the Frobenius norm alone."""
+    import math
+
+    k = len(m)
+    bound = exact_linalg._coefficient_bounds(m.astype(object)[None])[0] if k else 1
+    assert all(abs(c) <= bound for c in sympy_char_poly(m))
+    if k:
+        frob = sum(int(v) ** 2 for v in m.ravel().tolist())
+        r = math.isqrt(-(-frob // k)) + 1
+        assert bound <= (1 + r) ** k
+        assert exact_linalg._coefficient_bounds(m[None]) == [bound]
+
+
+@PROPERTY
+@given(st.lists(integer_matrices(), min_size=1, max_size=4))
+def test_char_polys_in_one_batch_equal_char_poly_alone(mats):
+    stacks = [m[None] for m in mats]
+    batched = exact_linalg._by_order(stacks, exact_linalg._char_polys_of_order)
+    assert [polys[0] for polys in batched] == [char_poly(m) for m in mats]

@@ -1,0 +1,198 @@
+"""Batched survey records: the batch equals the single-model pipeline record
+for record, the class structure is read once per adjacency pattern, and
+the numeric kernels run once per matrix order."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import zdgecc
+from zdgecc import exact_linalg, survey
+from zdgecc.eccentricity import eccentricity_matrix
+from zdgecc.exact_linalg import integrality_certificate, twin_partition
+from zdgecc.graphs import VARIANTS, Decomposition
+from zdgecc.number_theory import is_prime
+from zdgecc.report import spectral_fields, structure_fields
+from zdgecc.spectra import _class_matrices, _eigenvalues_checked, spectrum
+
+
+def _composites(lo, hi):
+    return [n for n in range(lo, hi + 1) if not is_prime(n)]
+
+
+def _reference(n, variant, *, structure_only=False, exact_cap=150, cluster_tol=1e-6):
+    """A survey record assembled from the single-model paths: the class
+    model's structure, its float spectrum and its own certificate."""
+    model = Decomposition.of(n, variant)
+    rec = {"kind": "survey", "n": n, "variant": variant, **structure_fields(model)}
+    if structure_only:
+        return rec
+    spec = spectrum(model, "float", cluster_tol=cluster_tol)
+    rec.update(spectral_fields(model, spec, rec["connected"]))
+    cert = model.certificate if model.n_vertices <= exact_cap else None
+    rec["integral"] = None if cert is None else cert.integral
+    rec["residual"] = None if cert is None or cert.integral else cert.residual.text()
+    return rec
+
+
+@pytest.fixture
+def fresh_models():
+    """Fresh class models before and after: no cached sample or certificate."""
+    Decomposition.of.cache_clear()
+    yield
+    Decomposition.of.cache_clear()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_run_survey_equals_records_one_at_a_time(variant, fresh_models):
+    batched = survey.run_survey(400, variant)
+    Decomposition.of.cache_clear()
+    alone = [survey.survey_record(n, variant) for n in _composites(4, 400)]
+    assert batched == alone
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batched_records_equal_the_single_model_pipeline(variant, fresh_models):
+    ns = _composites(4, 400)
+    batched = survey.survey_records(ns, variant)
+    Decomposition.of.cache_clear()
+    assert batched == [_reference(n, variant) for n in ns]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("structure_only", [False, True])
+def test_records_across_the_exact_cap_boundary(variant, structure_only, fresh_models):
+    cap = 12 if variant == "compressed" else 150
+    ns = [n for n in _composites(4, 400)
+          if abs(Decomposition.of(n, variant).n_vertices - cap) <= 10]
+    orders = [Decomposition.of(n, variant).n_vertices for n in ns]
+    assert min(orders) <= cap < max(orders)
+    opts = {"structure_only": structure_only, "exact_cap": cap}
+    batched = survey.survey_records(ns, variant, **opts)
+    Decomposition.of.cache_clear()
+    assert batched == [_reference(n, variant, **opts) for n in ns]
+    if not structure_only:
+        assert [r["integral"] is None for r in batched] == [v > cap for v in orders]
+
+
+def test_a_batch_mixing_quotient_orders(fresh_models):
+    ns = [8, 12, 36, 60, 64, 72, 96, 120, 144, 210, 360]
+    orders = {len(twin_partition(Decomposition.of(n, "zdg").sample_ecc)) for n in ns}
+    assert len(orders) >= 5
+    batched = survey.survey_records(ns, "zdg")
+    Decomposition.of.cache_clear()
+    assert batched == [_reference(n, "zdg") for n in ns]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batched_certificates_equal_the_sample_certificate(variant, fresh_models):
+    jobs, groups = [], survey._groups(Decomposition.of(n, variant) for n in _composites(4, 300))
+    for group in groups:
+        pattern = group[0]
+        eigenvalues = _eigenvalues_checked(_class_matrices(pattern.ecc, [m.sizes for m in group]))
+        jobs.append((pattern.sample_ecc, [m.sample_weights for m in group], list(eigenvalues)))
+    for group, certs in zip(groups, exact_linalg._certificates(jobs)):
+        for model, cert in zip(group, certs):
+            weights = [*model.sizes, *[0] * len(model._seconds)]
+            assert cert == integrality_certificate(model.sample_ecc, weights), model.n
+            assert cert == model.certificate, model.n
+
+
+def test_batched_certificates_of_matrices_without_eigenvalues():
+    """Weightings of one matrix, seeded by ``_seeds``, and a matrix with
+    none: each equals the certificate of that weighting alone."""
+    group = max(survey._groups(Decomposition.of(n, "zdg") for n in _composites(4, 300)), key=len)
+    mat, weightings = group[0].sample_ecc, [m.sample_weights for m in group]
+    dense = eccentricity_matrix(Decomposition.of(60, "zdg").dense())
+    certs, [alone] = exact_linalg._certificates([(mat, weightings, None), (dense, None, None)])
+    assert len(weightings) >= 3
+    assert certs == [integrality_certificate(mat, w) for w in weightings]
+    assert alone == integrality_certificate(dense)
+
+
+def test_structure_once_per_pattern_and_kernels_once_per_order(monkeypatch, fresh_models):
+    ns = _composites(4, 100)
+    models = [Decomposition.of(n, "zdg") for n in ns]
+    patterns = survey._groups(models)
+    orders = {len(m.sizes) for m in models}
+    quotient_orders = {len(twin_partition(m.sample_ecc)) for m in models}
+    want = [_reference(n, "zdg") for n in ns]
+    Decomposition.of.cache_clear()
+    calls = {"twin_partition": 0, "eigh": [], "char_poly": []}
+    twins, eigh, polys = (exact_linalg.twin_partition, survey._eigenvalues_checked,
+                          exact_linalg._char_polys_of_order)
+
+    def count_twins(mat):
+        calls["twin_partition"] += 1
+        return twins(mat)
+
+    def count_eigh(stack):
+        calls["eigh"].append(stack.shape[-1])
+        return eigh(stack)
+
+    def count_polys(stack):
+        calls["char_poly"].append(stack.shape[-1])
+        return polys(stack)
+
+    monkeypatch.setattr(exact_linalg, "twin_partition", count_twins)
+    monkeypatch.setattr(survey, "_eigenvalues_checked", count_eigh)
+    monkeypatch.setattr(exact_linalg, "_char_polys_of_order", count_polys)
+    assert survey.survey_records(ns, "zdg") == want
+    assert len(patterns) < len(ns)
+    assert calls["twin_partition"] == len(patterns)
+    assert sorted(calls["eigh"]) == sorted(orders)
+    assert sorted(calls["char_poly"]) == sorted(quotient_orders)
+
+
+def test_cache_entries_are_named_after_their_key_material(tmp_path):
+    survey.run_survey(12, cache_dir=tmp_path)
+    survey.run_survey(12, "complement", structure_only=True, cluster_tol=0.5, cache_dir=tmp_path)
+    names = sorted(p.name for p in tmp_path.iterdir())
+    version = zdgecc.__version__
+    assert f"zdg_n12_cap150_tol1e-06_v{version}_eigh_class.json" in names
+    assert f"complement_n9_cap150_tol0.5_v{version}_eigh_class_structure.json" in names
+    assert len(names) == 2 * 6
+
+
+def test_survey_imports_no_hashlib():
+    """hashlib maps libcrypto into every process that loads it."""
+    code = ("import sys, zdgecc.cli; from zdgecc.survey import run_survey; "
+            "run_survey(30, workers=2); print('hashlib' in sys.modules)")
+    src = str(Path(zdgecc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60, env=env)
+    assert out.stdout.strip() == "False"
+
+
+def test_unknown_variant_is_refused_before_any_cache_entry(tmp_path):
+    with pytest.raises(ValueError, match="unknown variant"):
+        survey.run_survey(12, "../zdg", cache_dir=tmp_path / "cache")
+    assert not (tmp_path / "cache").exists()
+
+
+def test_survey_cache_serves_only_entries_named_for_the_same_key(tmp_path):
+    """A planted record is served under the current name and ignored under
+    the name of another version, tolerance, cap, eigensolver, engine or
+    record kind."""
+    want = survey.run_survey(12, cache_dir=tmp_path / "fresh")
+    version = zdgecc.__version__
+    stale = ["zdg_n12_cap150_tol1e-06_v0.0.9_eigh_class.json",
+             f"zdg_n12_cap150_tol1e-07_v{version}_eigh_class.json",
+             f"zdg_n12_cap100_tol1e-06_v{version}_eigh_class.json",
+             f"zdg_n12_cap150_tol1e-06_v{version}_eigvalsh_class.json",
+             f"zdg_n12_cap150_tol1e-06_v{version}_eigh_dense.json",
+             f"zdg_n12_cap150_tol1e-06_v{version}_eigh_class_structure.json"]
+    planted = {**want[-1], "energy": "planted"}
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    for name in stale:
+        (cache / name).write_text(json.dumps(planted))
+    assert survey.run_survey(12, cache_dir=cache) == want
+    (cache / f"zdg_n12_cap150_tol1e-06_v{version}_eigh_class.json").write_text(json.dumps(planted))
+    assert survey.run_survey(12, cache_dir=cache)[-1] == planted
