@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_survey.add_argument("--max-n", type=int, required=True)
     p_survey.add_argument("--variant", choices=survey.VARIANTS, default="zdg")
     p_survey.add_argument("--workers", type=_positive_int, default=1,
-                          help="worker processes (>= 1)")
+                          help="processes (>= 1): this one plus forked children")
     p_survey.add_argument("--structure-only", action="store_true",
                           help="graph flags only; skip spectra and integrality")
     p_survey.add_argument("--cache", action="store_true",
@@ -310,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     args._argv = argv
     try:
         return args.func(args)
-    except MemoryError as exc:  # a survey pool re-raises its workers' errors here
+    except MemoryError as exc:  # a survey re-raises its forked children's errors here
         print(f"error: too large to build in memory: {exc}", file=sys.stderr)
         return EXIT_OVERSIZE
 

@@ -122,9 +122,11 @@ def complete_graph(labels) -> Graph:
 
 
 def _class_adjacency(divs: list[int], m: int) -> np.ndarray:
-    """m | d*e for each pair of divisors, as (m // gcd(d, m)) | e in Python ints."""
-    need = [m // math.gcd(d, m) for d in divs]
-    return np.array([[e % q == 0 for e in divs] for q in need], dtype=bool)
+    """m | d*e for each pair of divisors, as (m // gcd(d, m)) | e: one
+    broadcast remainder, on int64 below 2^63 and on Python ints above."""
+    dtype = np.int64 if max(m, *divs) < 2**63 else object
+    need = np.array([m // math.gcd(d, m) for d in divs], dtype=dtype)
+    return np.array(divs, dtype=dtype) % need[:, None] == 0
 
 
 def build_zdg(n: int) -> Graph:

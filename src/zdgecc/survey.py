@@ -1,4 +1,5 @@
-"""Batch surveys over composite moduli with optional worker pool and cache.
+"""Batch surveys over composite moduli with optional worker processes and
+a disk cache.
 
 Every record is computed by a pure function of (n, variant, options), so the
 survey is deterministic and independent of the worker count; records are
@@ -11,22 +12,29 @@ is the generalized join of its class adjacency over classes of the given
 sizes (Cardoso, de Freitas, Martins and Robbiano, Discrete Math., 2013), so
 every field of a record is a function of that adjacency and the sizes.
 Models that share an adjacency pattern (``adj`` and which classes have two
-or more vertices) share their sample, its eccentricity matrix, C,
-irreducibility and twin blocks: those are read once per pattern, from its
-first model.  The numeric kernels run once per matrix order: one checked
-eigensolve of every S, and one characteristic-polynomial pass of every twin
-quotient (``exact_linalg._certificates``).
+or more vertices) share their connectivity, sample, its eccentricity
+matrix, C, irreducibility and twin blocks: those are read once per pattern,
+from its first model.  The numeric kernels run once per matrix order: one
+checked eigensolve of every S, and one characteristic-polynomial pass of
+every twin quotient (``exact_linalg._certificates``).
+
+With ``workers`` w > 1, ``run_survey`` deals whole groups into w tasks and
+forks w - 1 children (``_fork_map``): each computes its task from the
+memory it inherited, writes its own records' cache entries and sends the
+records back pickled over a pipe, while the parent computes the first task.
+Where fork is not the platform's default way to start a worker (macOS,
+Windows) the survey runs inline, with the same records.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
-# A multiprocessing pool imports subprocess when it starts its workers;
-# importing it at start-up keeps that cost out of the survey's run time.
-import subprocess  # noqa: F401
+import pickle
+import signal
+import sys
 from pathlib import Path
+from typing import NoReturn
 
 import zdgecc
 from zdgecc import exact_linalg
@@ -46,8 +54,9 @@ from zdgecc.spectra import (
 def _groups(models) -> list[list[Decomposition]]:
     """The models grouped by pattern: ``adj`` and which classes have two or
     more vertices (those the sample holds twice), in order of first
-    appearance.  A group's first model stands for its pattern: its sample,
-    E, C, irreducibility and twin blocks are every member's."""
+    appearance.  A group's first model stands for its pattern: its
+    connectivity, sample, E, C, irreducibility and twin blocks are every
+    member's."""
     groups: dict[tuple, list[Decomposition]] = {}
     for model in models:
         key = (model.adj.tobytes(), len(model.sizes), bytes(m >= 2 for m in model.sizes))
@@ -67,6 +76,11 @@ def _records(
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> list[dict]:
     """The records of every model of the groups, group by group."""
+    for group in groups:
+        # connectivity is a function of adj and of which classes have two or
+        # more vertices: the group key, so the pattern's BFS serves them all
+        for model in group[1:]:
+            vars(model)["connected"] = group[0].connected  # as the cached_property would
     records = [
         [{"kind": "survey", "n": m.n, "variant": m.variant, **structure_fields(m)} for m in group]
         for group in groups
@@ -144,9 +158,88 @@ def _cache_name(n: int, variant: str, opts: dict) -> str:
     return name + ("_structure" if opts["structure_only"] else "") + ".json"
 
 
-def _worker(task):
-    groups, opts = task
-    return _records(groups, **opts)
+def _store(path: Path, rec: dict) -> None:
+    """Write a cache entry as a temp file, then rename it, so no reader sees
+    a partial entry."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp.write_text(json.dumps(rec, sort_keys=True))
+    os.replace(tmp, path)
+
+
+# survey workers are forked where fork was the platform's default way to
+# start a worker process: not on macOS, where forking a process that has
+# loaded system frameworks is unsafe, nor on Windows, which has no fork
+_FORK = hasattr(os, "fork") and sys.platform != "darwin"
+
+
+def _child(fn, task, out: int, inherited: list[int]) -> NoReturn:
+    """A forked child's whole life: ``fn(task)``, or the exception it raised,
+    pickled to the pipe ``out``; then ``os._exit``, so it never unwinds into
+    its caller's frames and never flushes the stdio buffers it inherited."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            payload = pickle.dumps((True, fn(task)))
+        except BaseException as exc:  # interrupts too: the parent re-raises it
+            try:
+                payload = pickle.dumps((False, exc))
+            except Exception:  # an exception that does not pickle
+                payload = pickle.dumps((False, RuntimeError(repr(exc))))
+        with open(out, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fork_map(fn, tasks: list) -> list:
+    """``[fn(t) for t in tasks]``, with ``tasks[1:]`` each computed in a
+    forked child from the memory it inherited, and ``tasks[0]`` in this
+    process meanwhile.
+
+    A child's exception is re-raised here; a child that ends without a
+    result raises RuntimeError naming its pid and how it ended.  Every child
+    is reaped before this returns or raises, and when this raises, the
+    children still running are killed first."""
+    pending: list[tuple[int, int]] = []  # (pid, read end of its pipe), not yet reaped
+    try:
+        for task in tasks[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _child(fn, task, w, [r, *(fd for _, fd in pending)])
+            os.close(w)
+            pending.append((pid, r))
+        results = [fn(tasks[0])]
+        while pending:
+            pid, fd = pending[0]
+            # read before waiting: a child whose pipe is full waits for it
+            with open(fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(fd)
+            pending.pop(0)
+            if code != 0:  # a child exits 0 only once its whole result is written
+                how = (f"was killed by signal {-code} ({signal.strsignal(-code)})" if code < 0
+                       else f"exited with code {code}")
+                raise RuntimeError(f"survey worker {pid} {how} without a result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, fd in pending:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
 
 
 def _tasks(groups: list[list[Decomposition]], workers: int) -> list[list[list[Decomposition]]]:
@@ -202,18 +295,21 @@ def run_survey(
     else:
         todo = ns
     groups = _groups(Decomposition.of(n, variant) for n in todo)
-    workers = min(workers, os.cpu_count() or 1)
-    if workers > 1 and len(groups) > 1:
-        with multiprocessing.Pool(workers) as pool:
-            fresh = pool.map(_worker, [(task, opts) for task in _tasks(groups, workers)])
-    else:
-        fresh = [_records(groups, **opts)]
-    for rec in (rec for recs in fresh for rec in recs):
-        n = rec["n"]
-        records[n] = rec
+
+    def compute(task: list[list[Decomposition]]) -> list[dict]:
+        """The records of a task, each written to its cache entry by the
+        process that computed it."""
+        recs = _records(task, **opts)
         if cache_path is not None:
-            # write a temp file and rename it, so no reader sees a partial entry
-            tmp = entries[n].with_name(f"{entries[n].name}.{os.getpid()}.tmp")
-            tmp.write_text(json.dumps(rec, sort_keys=True))
-            os.replace(tmp, entries[n])
+            for rec in recs:
+                _store(entries[rec["n"]], rec)
+        return recs
+
+    workers = min(workers, os.cpu_count() or 1) if _FORK else 1
+    if workers > 1 and len(groups) > 1:
+        fresh = _fork_map(compute, _tasks(groups, workers))
+    else:
+        fresh = [compute(groups)]
+    for rec in (rec for recs in fresh for rec in recs):
+        records[rec["n"]] = rec
     return [records[n] for n in ns]

@@ -437,30 +437,25 @@ def test_audit_tol_must_be_non_negative(capsys, tol):
 
 
 def test_survey_workers_clamped_to_cpu_count(monkeypatch):
+    """min(workers, cpu_count) processes compute: the parent and one forked
+    child for each worker past the first."""
     import os
 
     from zdgecc import survey
 
-    started = []
+    fork, forks = os.fork, []
 
-    class SerialPool:
-        def __init__(self, processes=None):
-            started.append(processes)
+    def counted_fork():
+        forks.append(1)
+        return fork()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return [fn(t) for t in tasks]
-
-    monkeypatch.setattr(survey.multiprocessing, "Pool", SerialPool)
-    cpus = os.cpu_count() or 1
-    records = survey.run_survey(12, workers=cpus + 1)
-    assert started == ([cpus] if cpus > 1 else [])
-    assert records == survey.run_survey(12)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    want = survey.run_survey(60)
+    for cpus in (1, 3):
+        forks.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert survey.run_survey(60, workers=cpus + 2) == want
+        assert len(forks) == (cpus - 1 if survey._FORK else 0)
 
 
 @pytest.mark.parametrize(

@@ -361,6 +361,23 @@ def test_class_adjacency_does_not_overflow_int64():
     assert not _class_adjacency([p], p * p * p)[0, 0]
 
 
+@pytest.mark.parametrize("ns", [range(4, 3001), [2**70 * 3]], ids=["n<=3000", "2^70*3"])
+def test_class_adjacency_follows_the_divisibility_rule(ns):
+    """The broadcast remainder equals (m // gcd(d, m)) | e in Python ints,
+    for m = n and m = rad(n), on int64 and on object arrays alike."""
+    import math
+
+    from zdgecc.graphs import _class_adjacency
+    from zdgecc.number_theory import factorize, proper_divisors
+
+    for n in (n for n in ns if not is_prime(n)):
+        divs = proper_divisors(n)
+        for m in (n, factorize(n).radical):
+            want = [[e % (m // math.gcd(d, m)) == 0 for e in divs] for d in divs]
+            got = _class_adjacency(divs, m)
+            assert got.dtype == bool and got.tolist() == want, (n, m)
+
+
 def test_dense_build_allocates_only_boolean_vxv():
     import tracemalloc
 

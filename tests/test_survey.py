@@ -158,16 +158,22 @@ def test_cache_entries_are_named_after_their_key_material(tmp_path):
     assert len(names) == 2 * 6
 
 
-def test_survey_imports_no_hashlib():
-    """hashlib maps libcrypto into every process that loads it."""
+def _loaded_after_survey(modules) -> list[str]:
+    """Those of ``modules`` a fresh interpreter has loaded after importing
+    the CLI and running a two-worker survey."""
     code = ("import sys, zdgecc.cli; from zdgecc.survey import run_survey; "
-            "run_survey(30, workers=2); print('hashlib' in sys.modules)")
+            f"run_survey(30, workers=2); print(*[m for m in {modules!r} if m in sys.modules])")
     src = str(Path(zdgecc.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=60, env=env)
-    assert out.stdout.strip() == "False"
+    return out.stdout.split()
+
+
+def test_survey_imports_no_hashlib():
+    """hashlib maps libcrypto into every process that loads it."""
+    assert _loaded_after_survey(["hashlib"]) == []
 
 
 def test_unknown_variant_is_refused_before_any_cache_entry(tmp_path):
@@ -196,3 +202,118 @@ def test_survey_cache_serves_only_entries_named_for_the_same_key(tmp_path):
     assert survey.run_survey(12, cache_dir=cache) == want
     (cache / f"zdg_n12_cap150_tol1e-06_v{version}_eigh_class.json").write_text(json.dumps(planted))
     assert survey.run_survey(12, cache_dir=cache)[-1] == planted
+
+
+def test_survey_imports_no_multiprocessing():
+    """Survey workers are plain forks: no process-pool or socket machinery."""
+    assert _loaded_after_survey(["multiprocessing", "subprocess", "socket", "selectors"]) == []
+
+
+forking = pytest.mark.skipif(not survey._FORK, reason="surveys run inline without fork")
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two workers fork one child whatever the machine's CPU count."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+@forking
+def test_fork_map_computes_the_first_task_here_and_the_rest_in_children():
+    parent = os.getpid()
+    results = survey._fork_map(lambda t: (t * t, os.getpid()), [1, 2, 3])
+    assert [r for r, _ in results] == [1, 4, 9]
+    pids = [pid for _, pid in results]
+    assert pids[0] == parent and parent not in pids[1:] and len(set(pids)) == 3
+    _assert_no_children()
+
+
+def _in_children(monkeypatch, act):
+    """``survey._records`` runs ``act()`` first in every forked child."""
+    parent, records = os.getpid(), survey._records
+
+    def patched(*args, **kwargs):
+        if os.getpid() != parent:
+            act()
+        return records(*args, **kwargs)
+
+    monkeypatch.setattr(survey, "_records", patched)
+
+
+@forking
+def test_memory_error_in_a_child_exits_3(capsys, monkeypatch, two_cpus):
+    from zdgecc.cli import main
+
+    def exhausted():
+        raise MemoryError("Unable to allocate 2.62 TiB for an array")
+
+    _in_children(monkeypatch, exhausted)
+    code = main(["survey", "--max-n", "40", "--workers", "2"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err == "error: too large to build in memory: Unable to allocate 2.62 TiB for an array\n"
+    _assert_no_children()
+
+
+@forking
+def test_a_killed_child_raises_instead_of_hanging(monkeypatch, two_cpus, tmp_path):
+    _in_children(monkeypatch, lambda: os.kill(os.getpid(), 9))
+    with pytest.raises(RuntimeError, match=r"survey worker \d+ was killed by signal 9"):
+        survey.run_survey(40, workers=2, cache_dir=tmp_path)
+    _assert_no_children()
+
+
+@forking
+def test_children_are_killed_when_the_parent_raises(monkeypatch, two_cpus):
+    import time
+
+    parent, records = os.getpid(), survey._records
+
+    def patched(*args, **kwargs):
+        if os.getpid() == parent:
+            raise ValueError("the parent's share failed")
+        time.sleep(60)
+        return records(*args, **kwargs)
+
+    monkeypatch.setattr(survey, "_records", patched)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="the parent's share failed"):
+        survey.run_survey(40, workers=2)
+    assert time.monotonic() - start < 30
+    _assert_no_children()
+
+
+@forking
+def test_each_process_writes_its_own_cache_entries(capsys, monkeypatch, two_cpus, tmp_path):
+    """Parent and child both write entries; a warm pass over them is
+    byte-identical to the cold pass, and the entries to those of one worker."""
+    from zdgecc.cli import main
+
+    writers, store = tmp_path / "writers", survey._store
+
+    def logged(path, rec):
+        store(path, rec)
+        with open(writers, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+
+    monkeypatch.setattr(survey, "_store", logged)
+    argv = ["survey", "--max-n", "100", "--cache-dir"]
+    reports = []
+    for cache, workers in [("forked", "2"), ("forked", "2"), ("inline", "1")]:
+        assert main([*argv, str(tmp_path / cache), "--workers", workers]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] == reports[2]
+    pids = writers.read_text().split()
+    assert len(pids) == 2 * len(_composites(4, 100))  # the cold forked pass, then the inline one
+    cold = set(pids[:len(pids) // 2])
+    assert len(cold) == 2 and str(os.getpid()) in cold
+    forked, inline = sorted((tmp_path / "forked").iterdir()), sorted((tmp_path / "inline").iterdir())
+    assert [p.name for p in forked] == [p.name for p in inline]
+    assert all(a.read_bytes() == b.read_bytes() for a, b in zip(forked, inline))
+    _assert_no_children()
