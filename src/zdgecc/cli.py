@@ -7,8 +7,9 @@ only for the dumped files.
 Exit codes: 0 success (audits: no unexpected refutations); 1 audit refutation
 mismatch; 2 usage or domain error (prime modulus, unknown theorem, a bad
 ``--expect-refutations`` spec, found before any audit runs); 3 exact
-computation requested above the order cap, or input too large to build in
-memory; 4 unwritable output path.
+computation requested above the order cap, input too large to build in
+memory, or a survey worker that could not start or ended without a result;
+4 unwritable output path.
 """
 
 from __future__ import annotations
@@ -194,6 +195,9 @@ def cmd_survey(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except survey.WorkerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_OVERSIZE
     except OSError as exc:
         if cache_dir is None:
             raise

@@ -20,10 +20,15 @@ every twin quotient (``exact_linalg._certificates``).
 
 With ``workers`` w > 1, ``run_survey`` deals whole groups into w tasks and
 forks w - 1 children (``_fork_map``): each computes its task from the
-memory it inherited, writes its own records' cache entries and sends the
-records back pickled over a pipe, while the parent computes the first task.
-Where fork is not the platform's default way to start a worker (macOS,
-Windows) the survey runs inline, with the same records.
+memory it inherited and sends the records back pickled over a pipe, while
+the parent computes the first task.  Where fork is not the platform's
+default way to start a worker (macOS, Windows) the survey runs inline, with
+the same records.
+
+The disk cache memoizes whole surveys: one entry per (max_n, variant,
+options), the JSON list of the survey's records, read once by the parent
+before any model is built and written once by it after every record is in.
+Children never touch the cache directory.
 """
 
 from __future__ import annotations
@@ -64,11 +69,6 @@ def _groups(models) -> list[list[Decomposition]]:
     return list(groups.values())
 
 
-def _set_integrality(rec: dict, cert: exact_linalg.IntegralityCertificate) -> None:
-    rec["integral"] = cert.integral
-    rec["residual"] = None if cert.integral else cert.residual.text()
-
-
 def _records(
     groups: list[list[Decomposition]],
     structure_only: bool = False,
@@ -96,11 +96,7 @@ def _records(
             spec = _float_spectrum(_class_pairs(w.tolist(), pattern.ecc, model.sizes), cluster_tol)
             rec.update(spectral_fields(pattern, spec, rec["connected"]))
             rec["integral"] = rec["residual"] = None
-            if rec["vertices"] > exact_cap:
-                continue
-            if "certificate" in vars(model):  # cached on the model (a cached_property)
-                _set_integrality(rec, model.certificate)
-            else:
+            if rec["vertices"] <= exact_cap:
                 todo.append((model, rec, w))
         if todo:
             # S's eigenvalues seed the twin quotient when the classes are its blocks
@@ -108,9 +104,9 @@ def _records(
                          [w for _, _, w in todo]))
             waiting.append(todo)
     for todo, certs in zip(waiting, exact_linalg._certificates(jobs)):
-        for (model, rec, _), cert in zip(todo, certs):
-            vars(model)["certificate"] = cert  # as the cached_property would store it
-            _set_integrality(rec, cert)
+        for (_, rec, _), cert in zip(todo, certs):
+            rec["integral"] = cert.integral
+            rec["residual"] = None if cert.integral else cert.residual.text()
     return [rec for recs in records for rec in recs]
 
 
@@ -147,23 +143,28 @@ def survey_record(
                           exact_cap=exact_cap, cluster_tol=cluster_tol)[0]
 
 
-def _cache_name(n: int, variant: str, opts: dict) -> str:
-    """The file name of a record's cache entry, spelled out from its key
+def _cache_name(max_n: int, variant: str, opts: dict) -> str:
+    """The file name of a survey's cache entry, spelled out from its key
     material.  "eigh" and "class" name the solver and the matrices behind
     the cached floats (the class model's k x k S, not the dense V x V E), so
     entries written by another solver or engine, which differ in float
     noise, are misses, not mixed into fresh records."""
-    name = (f"{variant}_n{n}_cap{int(opts['exact_cap'])}"
+    name = (f"{variant}_max{max_n}_cap{int(opts['exact_cap'])}"
             f"_tol{float(opts['cluster_tol'])!r}_v{zdgecc.__version__}_eigh_class")
     return name + ("_structure" if opts["structure_only"] else "") + ".json"
 
 
-def _store(path: Path, rec: dict) -> None:
+def _store(path: Path, records: list[dict]) -> None:
     """Write a cache entry as a temp file, then rename it, so no reader sees
     a partial entry."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(json.dumps(rec, sort_keys=True))
+    tmp.write_text(json.dumps(records, sort_keys=True))
     os.replace(tmp, path)
+
+
+class WorkerError(RuntimeError):
+    """A survey worker that could not be started, or that ended without a
+    result."""
 
 
 # survey workers are forked where fork was the platform's default way to
@@ -199,20 +200,23 @@ def _fork_map(fn, tasks: list) -> list:
     forked child from the memory it inherited, and ``tasks[0]`` in this
     process meanwhile.
 
-    A child's exception is re-raised here; a child that ends without a
-    result raises RuntimeError naming its pid and how it ended.  Every child
-    is reaped before this returns or raises, and when this raises, the
-    children still running are killed first."""
+    A child's exception is re-raised here; a child that cannot be started,
+    or that ends without a result, raises WorkerError, naming its pid and
+    how it ended.  Every child is reaped before this returns or raises, and
+    when this raises, the children still running are killed first."""
     pending: list[tuple[int, int]] = []  # (pid, read end of its pipe), not yet reaped
     try:
         for task in tasks[1:]:
-            r, w = os.pipe()
             try:
-                pid = os.fork()
-            except BaseException:
-                os.close(r)
-                os.close(w)
-                raise
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                except BaseException:
+                    os.close(r)
+                    os.close(w)
+                    raise
+            except OSError as exc:  # EAGAIN from fork, EMFILE from pipe
+                raise WorkerError(f"cannot start a survey worker: {exc}") from exc
             if pid == 0:
                 _child(fn, task, w, [r, *(fd for _, fd in pending)])
             os.close(w)
@@ -229,7 +233,7 @@ def _fork_map(fn, tasks: list) -> list:
             if code != 0:  # a child exits 0 only once its whole result is written
                 how = (f"was killed by signal {-code} ({signal.strsignal(-code)})" if code < 0
                        else f"exited with code {code}")
-                raise RuntimeError(f"survey worker {pid} {how} without a result")
+                raise WorkerError(f"survey worker {pid} {how} without a result")
             ok, value = pickle.loads(data)
             if not ok:
                 raise value
@@ -275,41 +279,27 @@ def run_survey(
         "cluster_tol": cluster_tol,
     }
     ns = [n for n in range(4, max_n + 1) if not is_prime(n)]
-    records: dict[int, dict] = {}
-    todo: list[int] = []
-    cache_path = Path(cache_dir) if cache_dir is not None else None
-    if cache_path is not None:
-        cache_path.mkdir(parents=True, exist_ok=True)
-        entries = {n: cache_path / _cache_name(n, variant, opts) for n in ns}
-        for n in ns:
-            try:
-                rec = json.loads(entries[n].read_text())
-            except (OSError, ValueError):
-                rec = None
-            # a missing or unreadable entry, or one for another (n, variant),
-            # is a miss: recomputed below and rewritten
-            if isinstance(rec, dict) and rec.get("n") == n and rec.get("variant") == variant:
-                records[n] = rec
-            else:
-                todo.append(n)
-    else:
-        todo = ns
-    groups = _groups(Decomposition.of(n, variant) for n in todo)
-
-    def compute(task: list[list[Decomposition]]) -> list[dict]:
-        """The records of a task, each written to its cache entry by the
-        process that computed it."""
-        recs = _records(task, **opts)
-        if cache_path is not None:
-            for rec in recs:
-                _store(entries[rec["n"]], rec)
-        return recs
-
+    entry = None
+    if cache_dir is not None:
+        Path(cache_dir).mkdir(parents=True, exist_ok=True)
+        entry = Path(cache_dir, _cache_name(max_n, variant, opts))
+        try:
+            cached = json.loads(entry.read_text())
+        except (OSError, ValueError):
+            cached = None
+        # a hit is a list of this variant's records for exactly ns; anything
+        # else is a miss, recomputed below and rewritten
+        if (isinstance(cached, list) and all(isinstance(rec, dict) for rec in cached)
+                and [rec.get("n") for rec in cached] == ns
+                and all(rec.get("variant") == variant for rec in cached)):
+            return cached
+    groups = _groups(Decomposition.of(n, variant) for n in ns)
     workers = min(workers, os.cpu_count() or 1) if _FORK else 1
     if workers > 1 and len(groups) > 1:
-        fresh = _fork_map(compute, _tasks(groups, workers))
+        fresh = _fork_map(lambda task: _records(task, **opts), _tasks(groups, workers))
     else:
-        fresh = [compute(groups)]
-    for rec in (rec for recs in fresh for rec in recs):
-        records[rec["n"]] = rec
-    return [records[n] for n in ns]
+        fresh = [_records(groups, **opts)]
+    records = sorted((rec for recs in fresh for rec in recs), key=lambda rec: rec["n"])
+    if entry is not None:
+        _store(entry, records)
+    return records

@@ -412,20 +412,25 @@ def test_spectrum_dump_matrix_to_stdout(capsys):
 
 
 def test_survey_cache_recovers_corrupt_entries(capsys, tmp_path):
+    """An entry that does not parse, or is not this survey's list of records,
+    is a miss: the survey is recomputed and the entry rewritten."""
     cache = tmp_path / "cache"
     argv = ("survey", "--max-n", "20", "--cache", "--cache-dir", str(cache))
     code, cold, _ = run(capsys, *argv)
     assert code == 0
-    garbage, foreign = sorted(cache.glob("*.json"))[:2]
-    garbage.write_text("{not json")
-    foreign.write_text(json.dumps({"kind": "survey", "n": 999, "variant": "zdg"}))
-    code, warm, err = run(capsys, *argv)
-    assert code == 0, err
-    assert warm == cold
+    [entry] = cache.iterdir()
     records = json.loads(cold)["items"]
-    for entry in (garbage, foreign):
-        assert json.loads(entry.read_text()) in records
-    assert sorted(p.suffix for p in cache.iterdir()) == [".json"] * len(records)
+    assert json.loads(entry.read_text()) == records
+    other = [{**rec, "variant": "complement"} for rec in records]
+    for bad in ("{not json", json.dumps({"items": records}), json.dumps([*records[:-1], 20]),
+                json.dumps([*records[:-1], {"kind": "survey", "variant": "zdg"}]),
+                json.dumps(records[:-1]), json.dumps(other)):
+        entry.write_text(bad)
+        code, warm, err = run(capsys, *argv)
+        assert code == 0, err
+        assert warm == cold
+        assert json.loads(entry.read_text()) == records
+        assert list(cache.iterdir()) == [entry]
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
@@ -516,7 +521,9 @@ def test_survey_cache_dir_turns_caching_on(capsys, tmp_path):
     cache = tmp_path / "cache"
     code, out, err = run(capsys, "survey", "--max-n", "12", "--cache-dir", str(cache))
     assert code == 0, err
-    assert len(list(cache.glob("*.json"))) == len(json.loads(out)["items"])
+    [entry] = cache.iterdir()
+    assert entry.suffix == ".json"
+    assert json.loads(entry.read_text()) == json.loads(out)["items"]
 
 
 def _cli_subprocess(*argv):

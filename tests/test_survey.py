@@ -4,6 +4,7 @@ the numeric kernels run once per matrix order."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -153,9 +154,8 @@ def test_cache_entries_are_named_after_their_key_material(tmp_path):
     survey.run_survey(12, "complement", structure_only=True, cluster_tol=0.5, cache_dir=tmp_path)
     names = sorted(p.name for p in tmp_path.iterdir())
     version = zdgecc.__version__
-    assert f"zdg_n12_cap150_tol1e-06_v{version}_eigh_class.json" in names
-    assert f"complement_n9_cap150_tol0.5_v{version}_eigh_class_structure.json" in names
-    assert len(names) == 2 * 6
+    assert names == [f"complement_max12_cap150_tol0.5_v{version}_eigh_class_structure.json",
+                     f"zdg_max12_cap150_tol1e-06_v{version}_eigh_class.json"]
 
 
 def _loaded_after_survey(modules) -> list[str]:
@@ -183,25 +183,27 @@ def test_unknown_variant_is_refused_before_any_cache_entry(tmp_path):
 
 
 def test_survey_cache_serves_only_entries_named_for_the_same_key(tmp_path):
-    """A planted record is served under the current name and ignored under
-    the name of another version, tolerance, cap, eigensolver, engine or
-    record kind."""
+    """A planted survey is served under the current name and ignored under
+    the name of another version, tolerance, cap, eigensolver, engine, record
+    kind or range, and under the per-record name of earlier versions."""
     want = survey.run_survey(12, cache_dir=tmp_path / "fresh")
     version = zdgecc.__version__
-    stale = ["zdg_n12_cap150_tol1e-06_v0.0.9_eigh_class.json",
-             f"zdg_n12_cap150_tol1e-07_v{version}_eigh_class.json",
-             f"zdg_n12_cap100_tol1e-06_v{version}_eigh_class.json",
-             f"zdg_n12_cap150_tol1e-06_v{version}_eigvalsh_class.json",
-             f"zdg_n12_cap150_tol1e-06_v{version}_eigh_dense.json",
-             f"zdg_n12_cap150_tol1e-06_v{version}_eigh_class_structure.json"]
-    planted = {**want[-1], "energy": "planted"}
+    stale = ["zdg_max12_cap150_tol1e-06_v0.0.9_eigh_class.json",
+             f"zdg_max12_cap150_tol1e-07_v{version}_eigh_class.json",
+             f"zdg_max12_cap100_tol1e-06_v{version}_eigh_class.json",
+             f"zdg_max12_cap150_tol1e-06_v{version}_eigvalsh_class.json",
+             f"zdg_max12_cap150_tol1e-06_v{version}_eigh_dense.json",
+             f"zdg_max12_cap150_tol1e-06_v{version}_eigh_class_structure.json",
+             f"zdg_max13_cap150_tol1e-06_v{version}_eigh_class.json",
+             f"zdg_n12_cap150_tol1e-06_v{version}_eigh_class.json"]
+    planted = [*want[:-1], {**want[-1], "energy": "planted"}]
     cache = tmp_path / "cache"
     cache.mkdir()
     for name in stale:
-        (cache / name).write_text(json.dumps(planted))
+        (cache / name).write_text(json.dumps(planted if "_max" in name else planted[-1]))
     assert survey.run_survey(12, cache_dir=cache) == want
-    (cache / f"zdg_n12_cap150_tol1e-06_v{version}_eigh_class.json").write_text(json.dumps(planted))
-    assert survey.run_survey(12, cache_dir=cache)[-1] == planted
+    (cache / f"zdg_max12_cap150_tol1e-06_v{version}_eigh_class.json").write_text(json.dumps(planted))
+    assert survey.run_survey(12, cache_dir=cache) == planted
 
 
 def test_survey_imports_no_multiprocessing():
@@ -269,6 +271,37 @@ def test_a_killed_child_raises_instead_of_hanging(monkeypatch, two_cpus, tmp_pat
     _assert_no_children()
 
 
+def _fork_fails(monkeypatch):
+    def fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+@forking
+@pytest.mark.parametrize("fault, message", [
+    (lambda mp: _in_children(mp, lambda: os.kill(os.getpid(), 9)),
+     r"survey worker \d+ was killed by signal 9 \(Killed\) without a result"),
+    (_fork_fails, r"cannot start a survey worker: \[Errno 11\] Resource temporarily unavailable"),
+], ids=["killed", "fork-fails"])
+@pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+def test_a_failed_worker_exits_3_with_one_error_line(capsys, monkeypatch, two_cpus, tmp_path,
+                                                     fault, message, cached):
+    """A worker that cannot start or dies without a result is one stderr
+    line and exit 3, with or without a cache, which it leaves empty."""
+    from zdgecc.cli import main
+
+    fault(monkeypatch)
+    cache = ["--cache-dir", str(tmp_path / "cache")] if cached else []
+    code = main(["survey", "--max-n", "40", "--workers", "2", *cache])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert re.fullmatch(f"error: {message}\n", err)
+    assert not cached or not any((tmp_path / "cache").iterdir())
+    _assert_no_children()
+
+
 @forking
 def test_children_are_killed_when_the_parent_raises(monkeypatch, two_cpus):
     import time
@@ -290,30 +323,36 @@ def test_children_are_killed_when_the_parent_raises(monkeypatch, two_cpus):
 
 
 @forking
-def test_each_process_writes_its_own_cache_entries(capsys, monkeypatch, two_cpus, tmp_path):
-    """Parent and child both write entries; a warm pass over them is
-    byte-identical to the cold pass, and the entries to those of one worker."""
+def test_only_the_parent_touches_the_cache(capsys, monkeypatch, two_cpus, tmp_path):
+    """Forked children open nothing in the cache directory; the parent reads
+    the entry once and writes it once, the same bytes as an inline survey's,
+    and leaves no temp file; a warm pass over it is byte-identical to the
+    cold pass."""
+    import builtins
+    import io
+
     from zdgecc.cli import main
 
-    writers, store = tmp_path / "writers", survey._store
+    forked, opened, real_open = tmp_path / "forked", tmp_path / "opened", io.open
 
-    def logged(path, rec):
-        store(path, rec)
-        with open(writers, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
+    def logged_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file).startswith(str(forked)):
+            with real_open(opened, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+        return real_open(file, *args, **kwargs)
 
-    monkeypatch.setattr(survey, "_store", logged)
+    monkeypatch.setattr(io, "open", logged_open)
+    monkeypatch.setattr(builtins, "open", logged_open)
     argv = ["survey", "--max-n", "100", "--cache-dir"]
     reports = []
     for cache, workers in [("forked", "2"), ("forked", "2"), ("inline", "1")]:
         assert main([*argv, str(tmp_path / cache), "--workers", workers]) == 0
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1] == reports[2]
-    pids = writers.read_text().split()
-    assert len(pids) == 2 * len(_composites(4, 100))  # the cold forked pass, then the inline one
-    cold = set(pids[:len(pids) // 2])
-    assert len(cold) == 2 and str(os.getpid()) in cold
-    forked, inline = sorted((tmp_path / "forked").iterdir()), sorted((tmp_path / "inline").iterdir())
-    assert [p.name for p in forked] == [p.name for p in inline]
-    assert all(a.read_bytes() == b.read_bytes() for a, b in zip(forked, inline))
+    # the cold pass reads (a miss) and writes, the warm pass reads
+    assert opened.read_text().split() == [str(os.getpid())] * 3
+    [entry], [inline] = forked.iterdir(), (tmp_path / "inline").iterdir()
+    assert entry.name == inline.name and entry.suffix == ".json"
+    assert entry.read_bytes() == inline.read_bytes()
+    assert [rec["n"] for rec in json.loads(entry.read_text())] == _composites(4, 100)
     _assert_no_children()
