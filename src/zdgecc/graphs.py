@@ -209,6 +209,16 @@ def generalized_join(skeleton: Graph, parts: list[Graph]) -> Graph:
 VARIANTS = ("zdg", "extended", "compressed", "complement")
 
 
+@functools.lru_cache(maxsize=512)
+def _connected(adj: bytes, k: int) -> bool:
+    """Whether the class adjacency ``adj`` (k x k, k >= 2, as bytes) is
+    connected.  With two or more classes the graph is connected iff this
+    is, whatever the sizes: every class then has a neighbour class, through
+    which two of its vertices meet.  Cached per pattern, so the models that
+    share one, a survey's or an audit's, run one search."""
+    return bool(_reachable(np.frombuffer(adj, dtype=bool).reshape(k, k), 0).all())
+
+
 def _divisor_classes(n: int) -> list[tuple[int, int]]:
     """(d, phi(n / d)) for every proper divisor d of n, ascending, read off
     n's factorization: phi(n / d) is the product over p^a || n, p^b || d,
@@ -263,9 +273,10 @@ class ClassGraph:
 
     @functools.cached_property
     def connected(self) -> bool:
-        if len(self.sizes) == 1:
+        k = len(self.sizes)
+        if k == 1:
             return self.sizes[0] == 1 or bool(self.adj[0, 0])
-        return bool(_reachable(self.adj, 0).all())
+        return _connected(self.adj.tobytes(), k)
 
     @property
     def tree(self) -> bool:

@@ -244,9 +244,10 @@ def _split(m: int, out: dict[int, int]) -> None:
         stack += [f, m // f]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def factorize(n: int) -> Factorization:
-    """Factor n >= 2."""
+    """Factor n >= 2, cached for the most recent 512 n (a survey factors
+    each n once; a model reads n's factorization twice in a row)."""
     n = operator.index(n)
     if n < 2:
         raise ValueError(f"factorize requires n >= 2, got {n}")

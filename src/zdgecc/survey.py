@@ -2,28 +2,30 @@
 a disk cache.
 
 Every record is computed by a pure function of (n, variant, options), so the
-survey is deterministic and independent of the worker count; records are
-always emitted sorted by n.  A record reads the class model
+survey is deterministic and independent of the worker count; records come
+in the order of the moduli asked for.  A record reads the class model
 (``graphs.Decomposition``) of its (n, variant) and never builds the V x V
 graph.
 
-Records are computed in batches (``survey_records``).  The graph of a model
-is the generalized join of its class adjacency over classes of the given
-sizes (Cardoso, de Freitas, Martins and Robbiano, Discrete Math., 2013), so
-every field of a record is a function of that adjacency and the sizes.
-Models that share an adjacency pattern (``adj`` and which classes have two
-or more vertices) share their connectivity, sample, its eccentricity
-matrix, C, irreducibility and twin blocks: those are read once per pattern,
-from its first model.  The numeric kernels run once per matrix order: one
-checked eigensolve of every S, and one characteristic-polynomial pass of
-every twin quotient (``exact_linalg._certificates``).
+Records are computed in batches.  The graph of a model is the generalized
+join of its class adjacency over classes of the given sizes (Cardoso, de
+Freitas, Martins and Robbiano, Discrete Math., 2013), so every field of a
+record is a function of that adjacency and the sizes.  Models that share an
+adjacency pattern (``adj`` and which classes have two or more vertices)
+share their sample, its eccentricity matrix, C, irreducibility and twin
+blocks: those are read once per pattern, from its first model.  The numeric
+kernels run once per matrix order: one checked eigensolve of every S, and
+one characteristic-polynomial pass of every twin quotient
+(``exact_linalg._certificates``).
 
-With ``workers`` w > 1, ``run_survey`` deals whole groups into w tasks and
-forks w - 1 children (``_fork_map``): each computes its task from the
-memory it inherited and sends the records back pickled over a pipe, while
-the parent computes the first task.  Where fork is not the platform's
-default way to start a worker (macOS, Windows) the survey runs inline, with
-the same records.
+One path serves ``survey_record``, ``survey_records`` and ``run_survey``
+(``_survey``): the parent builds and groups every model, deals the groups
+round-robin, largest first, into one task per worker, and ``_fork_map``
+computes the first task in this process and forks a child for each other
+task: it computes its task from the memory it inherited and sends the
+records back pickled over a pipe.  One worker is one task, computed inline;
+so is every survey where fork is not the platform's default way to start a
+worker (macOS, Windows), with the same records.
 
 The disk cache memoizes whole surveys: one entry per (max_n, variant,
 options), the JSON list of the survey's records, read once by the parent
@@ -57,14 +59,14 @@ from zdgecc.spectra import (
 
 
 def _groups(models) -> list[list[Decomposition]]:
-    """The models grouped by pattern: ``adj`` and which classes have two or
-    more vertices (those the sample holds twice), in order of first
-    appearance.  A group's first model stands for its pattern: its
-    connectivity, sample, E, C, irreducibility and twin blocks are every
+    """The models grouped by pattern: ``adj`` (its k*k bytes fix k) and
+    which classes have two or more vertices (those the sample holds twice),
+    in order of first appearance.  A group's first model stands for its
+    pattern: its sample, E, C, irreducibility and twin blocks are every
     member's."""
     groups: dict[tuple, list[Decomposition]] = {}
     for model in models:
-        key = (model.adj.tobytes(), len(model.sizes), bytes(m >= 2 for m in model.sizes))
+        key = (model.adj.tobytes(), bytes(m >= 2 for m in model.sizes))
         groups.setdefault(key, []).append(model)
     return list(groups.values())
 
@@ -76,11 +78,6 @@ def _records(
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> list[dict]:
     """The records of every model of the groups, group by group."""
-    for group in groups:
-        # connectivity is a function of adj and of which classes have two or
-        # more vertices: the group key, so the pattern's BFS serves them all
-        for model in group[1:]:
-            vars(model)["connected"] = group[0].connected  # as the cached_property would
     records = [
         [{"kind": "survey", "n": m.n, "variant": m.variant, **structure_fields(m)} for m in group]
         for group in groups
@@ -110,6 +107,18 @@ def _records(
     return [rec for recs in records for rec in recs]
 
 
+def _survey(ns: list[int], variant: str, workers: int, **opts) -> list[dict]:
+    """The record of each composite n of ``ns``, in order: the models built
+    and grouped here, the groups dealt round-robin, largest first, into one
+    task per worker (no more tasks than groups), and the tasks computed by
+    ``_fork_map``."""
+    groups = sorted(_groups(Decomposition.of(n, variant) for n in ns), key=len, reverse=True)
+    w = max(1, min(workers, len(groups)))
+    fresh = _fork_map(lambda task: _records(task, **opts), [groups[i::w] for i in range(w)])
+    by_n = {rec["n"]: rec for recs in fresh for rec in recs}
+    return [by_n[n] for n in ns]
+
+
 def survey_records(
     ns,
     variant: str = "zdg",
@@ -119,15 +128,12 @@ def survey_records(
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> list[dict]:
     """The survey record of each composite n of ``ns``, in order, computed
-    in one batch: the sample and its E once per adjacency pattern, one
-    checked eigensolve and one characteristic-polynomial pass per matrix
-    order.
+    in one batch in this process: the sample and its E once per adjacency
+    pattern, one checked eigensolve and one characteristic-polynomial pass
+    per matrix order.
     Each record equals the one ``survey_record`` gives alone."""
-    ns = list(ns)
-    groups = _groups(Decomposition.of(n, variant) for n in ns)
-    by_n = {rec["n"]: rec for rec in _records(
-        groups, structure_only=structure_only, exact_cap=exact_cap, cluster_tol=cluster_tol)}
-    return [by_n[n] for n in ns]
+    return _survey(list(ns), variant, 1, structure_only=structure_only,
+                   exact_cap=exact_cap, cluster_tol=cluster_tol)
 
 
 def survey_record(
@@ -246,18 +252,6 @@ def _fork_map(fn, tasks: list) -> list:
             os.close(fd)
 
 
-def _tasks(groups: list[list[Decomposition]], workers: int) -> list[list[list[Decomposition]]]:
-    """Whole groups dealt into one task per worker, largest group first,
-    each to the task with the fewest records so far."""
-    tasks: list[list[list[Decomposition]]] = [[] for _ in range(min(len(groups), workers))]
-    load = [0] * len(tasks)
-    for group in sorted(groups, key=len, reverse=True):
-        i = load.index(min(load))
-        tasks[i].append(group)
-        load[i] += len(group)
-    return tasks
-
-
 def run_survey(
     max_n: int,
     variant: str = "zdg",
@@ -268,7 +262,10 @@ def run_survey(
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
     cache_dir: str | os.PathLike | None = None,
 ) -> list[dict]:
-    """Records for every composite 4 <= n <= max_n, sorted by n."""
+    """Records for every composite 4 <= n <= max_n, sorted by n: the whole
+    survey served from its cache entry, or computed by ``_survey`` on
+    min(workers, CPU count, pattern groups) workers, one where fork is not
+    the platform's way to start one, and then cached."""
     if max_n < 4:
         raise ValueError("max_n must be at least 4")
     if variant not in VARIANTS:
@@ -293,13 +290,7 @@ def run_survey(
                 and [rec.get("n") for rec in cached] == ns
                 and all(rec.get("variant") == variant for rec in cached)):
             return cached
-    groups = _groups(Decomposition.of(n, variant) for n in ns)
-    workers = min(workers, os.cpu_count() or 1) if _FORK else 1
-    if workers > 1 and len(groups) > 1:
-        fresh = _fork_map(lambda task: _records(task, **opts), _tasks(groups, workers))
-    else:
-        fresh = [_records(groups, **opts)]
-    records = sorted((rec for recs in fresh for rec in recs), key=lambda rec: rec["n"])
+    records = _survey(ns, variant, min(workers, os.cpu_count() or 1) if _FORK else 1, **opts)
     if entry is not None:
         _store(entry, records)
     return records

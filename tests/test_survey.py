@@ -356,3 +356,81 @@ def test_only_the_parent_touches_the_cache(capsys, monkeypatch, two_cpus, tmp_pa
     assert entry.read_bytes() == inline.read_bytes()
     assert [rec["n"] for rec in json.loads(entry.read_text())] == _composites(4, 100)
     _assert_no_children()
+
+
+def _logged_fork_map(monkeypatch) -> list:
+    """The tasks of every ``survey._fork_map`` call, which still runs."""
+    calls, fork_map = [], survey._fork_map
+
+    def logged(fn, tasks):
+        calls.append(tasks)
+        return fork_map(fn, tasks)
+
+    monkeypatch.setattr(survey, "_fork_map", logged)
+    return calls
+
+
+@pytest.mark.parametrize("max_n, workers, fork", [(60, 1, True), (5, 2, True), (60, 2, False)],
+                         ids=["one-worker", "one-group", "no-fork"])
+def test_an_inline_survey_is_one_task_of_fork_map(monkeypatch, two_cpus, max_n, workers, fork):
+    """One worker, one pattern group, or no fork: ``_fork_map`` gets one
+    task, computed here, and never forks."""
+    def fork_forbidden():
+        raise AssertionError("an inline survey forked")
+
+    want = survey.survey_records(_composites(4, max_n))
+    calls = _logged_fork_map(monkeypatch)
+    monkeypatch.setattr(os, "fork", fork_forbidden, raising=False)
+    monkeypatch.setattr(survey, "_FORK", fork)
+    assert survey.run_survey(max_n, workers=workers) == want
+    assert len(calls) == 1 and len(calls[0]) == 1
+    _assert_no_children()
+
+
+@forking
+def test_groups_are_dealt_whole_round_robin_largest_first(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    ns = _composites(4, 300)
+    want = survey.run_survey(300)
+    groups = [[m.n for m in g] for g in survey._groups(Decomposition.of(n, "zdg") for n in ns)]
+    calls = _logged_fork_map(monkeypatch)
+    assert survey.run_survey(300, workers=3) == want
+    [tasks] = [[[[m.n for m in g] for g in task] for task in call] for call in calls]
+    assert len(tasks) == 3
+    dealt = [tasks[i % 3][i // 3] for i in range(len(groups))]
+    assert sum(map(len, tasks)) == len(groups)
+    assert sorted(dealt) == sorted(groups)
+    assert [len(g) for g in dealt] == sorted(map(len, groups), reverse=True)
+    _assert_no_children()
+
+
+@forking
+def test_fewer_groups_than_workers_fork_one_child_per_group_past_the_first(monkeypatch):
+    fork, forks = os.fork, []
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    groups = survey._groups(Decomposition.of(n, "zdg") for n in _composites(4, 12))
+    assert 1 < len(groups) < 8
+    assert survey.run_survey(12, workers=8) == survey.survey_records(_composites(4, 12))
+    assert len(forks) == len(groups) - 1
+    _assert_no_children()
+
+
+def test_factorizations_are_cached_within_a_bound(fresh_models):
+    """A survey leaves at most the cache's bound of factorizations behind,
+    and a model still factors its n once."""
+    from zdgecc.number_theory import factorize
+
+    factorize.cache_clear()
+    survey.run_survey(3000)
+    info = factorize.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize < info.misses
+    factorize.cache_clear()
+    Decomposition.of(720720, "extended")
+    assert factorize.cache_info()[:2] == (1, 1)  # (hits, misses)
+    _assert_no_children()
