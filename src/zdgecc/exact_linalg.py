@@ -32,7 +32,9 @@ other roots are bracketed around them and certified by exact sign tests, so
 a float error can only send the certificate to the complete path, never
 make it wrong.  The complete path needs no floats: Yun's square-free
 decomposition over an exact integer gcd, then Descartes' rule of signs with
-exact bisection, which both finds the integer roots and isolates the rest.
+exact bisection, which both finds the integer roots and isolates the rest,
+in one pass whose isolation the certificate keeps.  Either way a
+certificate's isolation is None only when the residual has a non-real root.
 Real roots are reported as midpoints of cells of one fixed 2^-44 grid, so
 both paths give the same floats.
 """
@@ -601,6 +603,41 @@ def _integer_in(desc: list[int], a: Fraction, b: Fraction) -> int | None:
     return None
 
 
+def _complete(poly: IntPoly, bound: int) -> tuple[list[tuple[int, int]], IntPoly, tuple | None]:
+    """``integer_roots``' roots and residual, and the residual's isolation
+    (see ``_refine``): one square-free decomposition (``_parts``) and one
+    ``_root_intervals`` call per part serve both.  Each integer root found
+    is also divided out of its part, exactly, and the part's other intervals
+    are snapped to the grid.  The isolation is None when a part has a
+    non-real root; it holds every root of the residual only when the bound
+    covers every real root.
+    """
+    work = poly
+    found: dict[int, int] = {}
+    while work.degree > 0 and work.coeffs[0] == 0:
+        work, _ = work.deflate(0)
+        found[0] = found.get(0, 0) + 1
+    isolation: list | None = []
+    for desc, mult in _parts(work):
+        intervals, part, rest = _root_intervals(desc), desc, []
+        for a, b in intervals:
+            z = None if b < -bound or a > bound else _integer_in(desc, a, b)
+            if z is None or abs(z) > bound:
+                rest.append((a, b))
+                continue
+            for _ in range(mult):
+                work, rem = work.deflate(z)
+                if rem:
+                    raise ArithmeticError(f"{z} is not a root of multiplicity {mult}")
+            found[z] = mult
+            part = _divide(part, [1, -z])
+        if len(intervals) != len(desc) - 1:
+            isolation = None
+        elif isolation is not None and rest:
+            isolation.append((tuple(part), mult, tuple(_snap(part, a, b) for a, b in rest)))
+    return sorted(found.items()), work, None if isolation is None else tuple(isolation)
+
+
 def integer_roots(poly: IntPoly, bound: int) -> tuple[list[tuple[int, int]], IntPoly]:
     """All integer roots in [-bound, bound] of a monic polynomial, with
     multiplicities, plus the residual.
@@ -610,55 +647,30 @@ def integer_roots(poly: IntPoly, bound: int) -> tuple[list[tuple[int, int]], Int
     bisection on integers finds the root if it is an integer.  The root is
     then deflated as often as its part's multiplicity, each extraction
     verified by exact synthetic division.  The time grows with the log of
-    the bound, not the bound.
+    the bound, not the bound.  This is ``_complete`` without the residual's
+    isolation, which is sound only for a bound that covers every real root.
     """
     if not poly.is_monic:
         raise ValueError("integer_roots requires a monic polynomial")
-    bound = int(bound)
-    work = poly
-    found: dict[int, int] = {}
-    while work.degree > 0 and work.coeffs[0] == 0:
-        work, _ = work.deflate(0)
-        found[0] = found.get(0, 0) + 1
-    for desc, mult in _parts(work):
-        for a, b in _root_intervals(desc):
-            z = None if b < -bound or a > bound else _integer_in(desc, a, b)
-            if z is None or abs(z) > bound:
-                continue
-            for _ in range(mult):
-                work, rem = work.deflate(z)
-                if rem:
-                    raise ArithmeticError(f"{z} is not a root of multiplicity {mult}")
-            found[z] = mult
-    return sorted(found.items()), work
-
-
-def _isolate(poly: IntPoly) -> tuple:
-    """Isolation (see ``_refine``) of every root of a monic integer
-    polynomial with no rational root: each square-free part's roots by
-    ``_root_intervals``, snapped to the grid; a part with fewer real roots
-    than its degree raises ArithmeticError."""
-    out = []
-    for desc, mult in _parts(poly):
-        intervals = _root_intervals(desc)
-        if len(intervals) != len(desc) - 1:
-            raise ArithmeticError(f"{IntPoly.from_descending(desc).text()} has a non-real root")
-        out.append((tuple(desc), mult, tuple(_snap(desc, a, b) for a, b in intervals)))
-    return tuple(out)
+    roots, residual, _ = _complete(poly, int(bound))
+    return roots, residual
 
 
 def real_roots(poly: IntPoly) -> list[tuple[float, int]]:
     """Ascending real roots, with exact multiplicities, of a monic integer
-    polynomial with no rational root, such as the ``integer_roots`` residual.
+    polynomial, such as the ``integer_roots`` residual.
 
-    Multiplicities come from Yun's square-free decomposition (``_parts``).
-    Each root of a square-free part is isolated by Descartes' rule of signs
-    (``_root_intervals``) and bisected with exact integer sign tests to its
-    cell of the 2^-44 grid (no grid point is a root), whose midpoint is
-    reported.  A part with fewer real roots than its degree raises
-    ArithmeticError.
+    One ``_complete`` pass bounded by Cauchy's bound, so its isolation holds
+    every real root but the integer ones, which are exact.  Each isolated
+    root is bisected with exact integer sign tests to its cell of the 2^-44
+    grid (no grid point is a root), whose midpoint is reported.  A None
+    isolation, from a square-free part with fewer real roots than its
+    degree, raises ArithmeticError.
     """
-    return list(_refine(_isolate(poly)))
+    roots, _, isolation = _complete(poly, 1 + max(map(abs, poly.coeffs)))
+    if isolation is None:
+        raise ArithmeticError(f"{poly.text()} has a non-real root")
+    return sorted([(float(z), m) for z, m in roots] + list(_refine(isolation)))
 
 
 @dataclass(frozen=True)
@@ -667,13 +679,15 @@ class IntegralityCertificate:
     the residual that has no integer root.
 
     ``isolation`` holds the residual's roots as grid brackets (see
-    ``_refine``), or None to isolate them as ``real_roots`` does on first
-    use; ``residual_roots`` refines them once, when first read.
+    ``_refine``), kept from the pass that found the integer roots;
+    ``residual_roots`` refines them once, when first read.  It is None only
+    when a square-free part of the residual has a non-real root, and then
+    reading ``residual_roots`` raises ArithmeticError.
     """
 
     roots: tuple[tuple[int, int], ...]
     residual: IntPoly
-    isolation: tuple | None = field(default=None, compare=False, repr=False)
+    isolation: tuple | None = field(compare=False, repr=False)
 
     @property
     def integral(self) -> bool:
@@ -692,7 +706,9 @@ class IntegralityCertificate:
     @functools.cached_property
     def residual_roots(self) -> tuple[tuple[float, int], ...]:
         """Ascending real roots of the residual, with multiplicities."""
-        return _refine(_isolate(self.residual) if self.isolation is None else self.isolation)
+        if self.isolation is None:
+            raise ArithmeticError(f"{self.residual.text()} has a non-real root")
+        return _refine(self.isolation)
 
     def text(self) -> str:
         parts = []
@@ -903,9 +919,10 @@ def integrality_certificate(mat, sizes=None) -> IntegralityCertificate:
     once, from Q's float eigenvalues (``_seeds``, ``_seeded_roots``): integer
     roots by exact deflation, the others as isolating brackets certified by
     exact sign tests, refined only when ``residual_roots`` is read.  When
-    the seeds do not certify, the complete path runs: ``integer_roots``
+    the seeds do not certify, the complete path runs: ``_complete``
     bounded by Q's maximum absolute row sum, which bounds every eigenvalue,
-    then ``real_roots``'s isolation.  Nothing of the blow-up's order is
+    so one square-free decomposition gives both the integer roots and the
+    residual's isolation.  Nothing of the blow-up's order is
     expanded: the block factors join ``roots``, and ``poly`` multiplies
     everything out only when read.
     """
@@ -963,12 +980,9 @@ def _certify(arr, blocks, totals, quotient, poly, seeds) -> IntegralityCertifica
     are none): the seeded roots, else the complete path, then the block
     factors."""
     seeded = None if seeds is None else _seeded_roots(poly, seeds)
-    if seeded is None:  # the complete path
-        bound = int(np.abs(quotient).sum(axis=1).max()) if quotient.size else 0
-        roots, residual = integer_roots(poly, bound)
-        isolation = None
-    else:
-        roots, residual, isolation = seeded
+    if seeded is None:  # the complete path, bounded by Q's maximum absolute row sum
+        seeded = _complete(poly, int(np.abs(quotient).sum(axis=1).max()) if quotient.size else 0)
+    roots, residual, isolation = seeded
     found = dict(roots)
     for block, total in zip(blocks, totals):
         if total > 1:  # the block factor (x - d + c)^(total - 1)

@@ -157,11 +157,13 @@ class Spectrum:
         ) + "}"
 
     @classmethod
-    def from_pairs(cls, pairs, *, cluster_tol: float | None = None) -> "Spectrum":
+    def from_pairs(cls, pairs) -> "Spectrum":
         """Build from (value, multiplicity, exact) triples, merging duplicates.
 
         Values equal exactly (both exact) or within 1e-9 (any float involved)
-        are combined; zero multiplicities are dropped.
+        are combined; zero multiplicities are dropped.  This builds the
+        claimed spectra of ``claims``; a computed float spectrum is its
+        clusters, one entry each (``_float_spectrum``).
         """
         items = [
             (Fraction(v) if exact else float(v), int(m), bool(exact))
@@ -183,14 +185,7 @@ class Spectrum:
                     merged[-1][2] = pexact and exact
                     continue
             merged.append([v, m, exact])
-        entries = tuple(
-            SpectrumEntry(
-                v if exact else float(v), m, exact,
-                None if exact else cluster_tol,
-            )
-            for v, m, exact in merged
-        )
-        return cls(entries)
+        return cls(tuple(SpectrumEntry(v if exact else float(v), m, exact) for v, m, exact in merged))
 
 
 def _cluster(pairs: list[tuple[float, int]], tol: float) -> list[tuple[float, int]]:
@@ -238,11 +233,9 @@ def _float_pairs(source) -> list[tuple[float, int]]:
 
 
 def _float_spectrum(pairs: list[tuple[float, int]], cluster_tol: float) -> Spectrum:
-    """The float spectrum of ascending (eigenvalue, multiplicity) pairs,
-    clustered at cluster_tol."""
-    return Spectrum.from_pairs(
-        [(v, m, False) for v, m in _cluster(pairs, cluster_tol)], cluster_tol=cluster_tol
-    )
+    """The float spectrum of ascending (eigenvalue, multiplicity) pairs: one
+    entry per cluster at cluster_tol (``_cluster``), its mean and count."""
+    return Spectrum(tuple(SpectrumEntry(v, m, False, cluster_tol) for v, m in _cluster(pairs, cluster_tol)))
 
 
 def spectrum(

@@ -25,7 +25,9 @@ computes the first task in this process and forks a child for each other
 task: it computes its task from the memory it inherited and sends the
 records back pickled over a pipe.  One worker is one task, computed inline;
 so is every survey where fork is not the platform's default way to start a
-worker (macOS, Windows), with the same records.
+worker (macOS, Windows), with the same records.  Meanwhile numpy's
+OpenBLAS runs one thread (``_one_blas_thread``), in the parent and, by
+inheritance, in every child.
 
 The disk cache memoizes whole surveys: one entry per (max_n, variant,
 options), the JSON list of the survey's records, read once by the parent
@@ -35,6 +37,9 @@ Children never touch the cache directory.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import json
 import os
 import pickle
@@ -42,6 +47,8 @@ import signal
 import sys
 from pathlib import Path
 from typing import NoReturn
+
+import numpy as np
 
 import zdgecc
 from zdgecc import exact_linalg
@@ -107,6 +114,43 @@ def _records(
     return [rec for recs in records for rec in recs]
 
 
+@functools.cache
+def _openblas():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS,
+    found once, when first needed, among the libraries already loaded; None
+    when it is not there."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """OpenBLAS on one thread meanwhile, in this process and in every child
+    it forks, then its previous count back: the survey's k x k matrices are
+    too small for threads to help, and two workers' BLAS threads would
+    contend for the CPUs.  Without numpy's bundled OpenBLAS it does nothing."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def _survey(ns: list[int], variant: str, workers: int, **opts) -> list[dict]:
     """The record of each composite n of ``ns``, in order: the models built
     and grouped here, the groups dealt round-robin, largest first, into one
@@ -114,7 +158,8 @@ def _survey(ns: list[int], variant: str, workers: int, **opts) -> list[dict]:
     ``_fork_map``."""
     groups = sorted(_groups(Decomposition.of(n, variant) for n in ns), key=len, reverse=True)
     w = max(1, min(workers, len(groups)))
-    fresh = _fork_map(lambda task: _records(task, **opts), [groups[i::w] for i in range(w)])
+    with _one_blas_thread():
+        fresh = _fork_map(lambda task: _records(task, **opts), [groups[i::w] for i in range(w)])
     by_n = {rec["n"]: rec for recs in fresh for rec in recs}
     return [by_n[n] for n in ns]
 

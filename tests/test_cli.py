@@ -563,7 +563,7 @@ def test_commands_never_import_sympy():
         "el._seeds = lambda quotient, totals: None\n"
         "path = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])\n"
         "cert = el.integrality_certificate(np.kron(np.eye(2, dtype=np.int64), path))\n"
-        "print(json.dumps([codes, seeded, cert.isolation is None, cert.residual_roots,\n"
+        "print(json.dumps([codes, seeded, len(calls) > seeded, cert.residual_roots,\n"
         "                  el.real_roots(cert.residual), 'sympy' in sys.modules]))\n"
     )
     proc = subprocess.run(

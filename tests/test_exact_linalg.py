@@ -447,12 +447,40 @@ def test_seeded_certificates_equal_the_complete_path_bit_for_bit(monkeypatch):
     for case, model in seeded.items():
         assert model.certificate.isolation is not None, case  # the seeds certified
     monkeypatch.setattr(exact_linalg, "_seeds", lambda quotient, totals: None)
+    calls, complete_path = [], exact_linalg._complete
+    monkeypatch.setattr(exact_linalg, "_complete",
+                        lambda poly, bound: calls.append(poly) or complete_path(poly, bound))
     for case, model in seeded.items():
+        calls.clear()
         complete = _fresh(*case)
-        assert complete.certificate.isolation is None, case
         assert complete.certificate == model.certificate, case
+        assert len(calls) == 1, case  # the complete path ran
         assert complete.certificate.residual_roots == model.certificate.residual_roots, case
         assert spectrum(complete, "exact").entries == spectrum(model, "exact").entries, case
+
+
+def test_the_complete_path_decomposes_once(monkeypatch):
+    """Two copies of the path P5 and one of P4: integer roots -1, 0, 1 and
+    irrational ones, repeated and not, and no twins, so the matrix is its
+    own quotient.  One square-free decomposition gives the certificate's
+    roots and the residual's isolation."""
+    m = np.zeros((14, 14), dtype=np.int64)
+    for start, k in ((0, 5), (5, 5), (10, 4)):
+        path = np.eye(k, k=1, dtype=np.int64)
+        m[start : start + k, start : start + k] = path + path.T
+    assert all(len(block) == 1 for block in exact_linalg.twin_partition(m))
+    calls, parts = [], exact_linalg._parts
+    monkeypatch.setattr(exact_linalg, "_parts", lambda poly: calls.append(poly) or parts(poly))
+    monkeypatch.setattr(exact_linalg, "_seeds", lambda quotient, totals: None)
+    cert = integrality_certificate(m)
+    roots = cert.residual_roots
+    assert len(calls) == 1
+    assert cert.roots == ((-1, 2), (0, 2), (1, 2))
+    assert [mult for _, mult in roots] == [2, 1, 1, 1, 1, 2]  # +-sqrt 3 twice
+    poly = char_poly(m)
+    assert integer_roots(poly, 2) == (list(cert.roots), cert.residual)  # 2: the row-sum bound
+    assert real_roots(cert.residual) == list(roots)
+    assert real_roots(poly) == sorted([(float(z), mult) for z, mult in cert.roots] + list(roots))
 
 
 def test_seeds_off_by_a_half_still_give_the_certificate(monkeypatch):

@@ -363,3 +363,46 @@ def test_exact_and_float_spectra_agree_for_every_variant():
             for a, b in zip(exact.entries, flt.entries):
                 x = a.float_value
                 assert abs(x - b.float_value) <= 1e-9 * max(1.0, abs(x)), (n, variant)
+
+
+# ---------------------------------------------------------------------------
+# clustering: a float spectrum is its clusters, one entry each
+
+
+def test_float_spectrum_at_tolerance_zero_has_every_distinct_eigenvalue():
+    """Z_240's eigensolver returns 0 150 times and five values within
+    1e-13 of it: at cluster_tol 0 each is its own entry, and the eigen_sum
+    is the sum of the eigenvalues."""
+    from zdgecc.graphs import Decomposition
+    from zdgecc.spectra import _float_pairs
+
+    model = Decomposition.of(240, "zdg")
+    pairs = _float_pairs(model)
+    distinct: dict[float, int] = {}
+    for v, m in pairs:
+        distinct[v] = distinct.get(v, 0) + m
+    spec = spectrum(model, "float", cluster_tol=0)
+    assert [(e.value, e.multiplicity) for e in spec.entries] == sorted(distinct.items())
+    assert all(e.tol == 0 for e in spec.entries)
+    assert math.isclose(spec.eigen_sum(), math.fsum(v * m for v, m in pairs), rel_tol=0, abs_tol=1e-12)
+
+
+def test_float_spectra_at_the_default_tolerance_cluster_as_before():
+    """Clustering once gives what clustering and then merging within 1e-9
+    (``Spectrum.from_pairs``) gave: at the default tolerance, cluster means
+    lie more than 1e-9 apart."""
+    from zdgecc.graphs import VARIANTS, Decomposition
+    from zdgecc.spectra import DEFAULT_CLUSTER_TOL, _cluster, _float_pairs
+
+    for variant in VARIANTS:
+        for n in [*range(4, 401), 720, 1024, 5040, 10**6]:
+            if is_prime(n):
+                continue
+            model = Decomposition.of(n, variant)
+            pairs = _float_pairs(model)
+            twice = Spectrum.from_pairs([(v, m, False) for v, m in _cluster(pairs, DEFAULT_CLUSTER_TOL)])
+            spec = spectrum(model, "float")
+            assert [(e.value, e.multiplicity) for e in spec.entries] == [
+                (e.value, e.multiplicity) for e in twice.entries
+            ], (n, variant)
+            assert {e.tol for e in spec.entries} == {DEFAULT_CLUSTER_TOL}

@@ -421,6 +421,29 @@ def test_fewer_groups_than_workers_fork_one_child_per_group_past_the_first(monke
     _assert_no_children()
 
 
+@forking
+def test_a_forked_survey_child_runs_one_blas_thread(monkeypatch, two_cpus):
+    blas = survey._openblas()
+    if blas is None:
+        pytest.skip("numpy's bundled OpenBLAS is not loaded")
+    get, set_ = blas
+    before = get()
+    set_(2)
+    try:
+        if get() != 2:
+            pytest.skip("OpenBLAS does not run two threads here")
+        parent = os.getpid()
+        monkeypatch.setattr(survey, "_records", lambda groups, **opts: [
+            {"n": m.n, "pid": os.getpid(), "threads": get()} for group in groups for m in group])
+        records = survey.run_survey(60, workers=2)
+        assert {rec["pid"] == parent for rec in records} == {True, False}  # a child computed some
+        assert {rec["threads"] for rec in records} == {1}
+        assert get() == 2  # the parent's count is restored
+    finally:
+        set_(before)
+    _assert_no_children()
+
+
 def test_factorizations_are_cached_within_a_bound(fresh_models):
     """A survey leaves at most the cache's bound of factorizations behind,
     and a model still factors its n once."""

@@ -234,3 +234,36 @@ def test_integer_roots_take_time_logarithmic_in_the_bound():
     poly = IntPoly((-10**7, 1)) * IntPoly((-2, 0, 1))
     assert integer_roots(poly, 10**8) == ([(10**7, 1)], IntPoly((-2, 0, 1)))
     assert integer_roots(poly, 10**7 - 1) == ([], poly)
+
+
+def test_the_complete_path_splits_like_sympys_sqf_list():
+    """One square-free decomposition gives ``_complete`` both the integer
+    roots and the residual's isolation.  On products, with repeated
+    factors, of integer linear factors and real-rooted quadratics, the
+    decomposition is sympy's ``sqf_list``, the roots are the linear factors,
+    the isolation's parts are the residual's ``sqf_list`` and its grid cells
+    are those of sympy's isolating intervals, so the integer roots taken out
+    of each part leave the residual's own decomposition."""
+    rng = random.Random(11)
+    for _ in range(80):
+        chosen = {rng.randint(-20, 20): rng.randint(1, 3) for _ in range(rng.randint(0, 3))}
+        poly = _real_rooted(rng)
+        for root, mult in chosen.items():
+            for _ in range(mult):
+                poly = poly * IntPoly((-root, 1))
+        assert exact_linalg._parts(poly) == _sympy_parts(poly), poly
+        roots, residual, isolation = exact_linalg._complete(poly, 1 + max(map(abs, poly.coeffs)))
+        assert roots == sorted(chosen.items()), poly
+        rebuilt = residual
+        for root, mult in roots:
+            for _ in range(mult):
+                rebuilt = rebuilt * IntPoly((-root, 1))
+        assert rebuilt == poly
+        assert [(list(desc), mult) for desc, mult, _ in isolation] == _sympy_parts(residual), poly
+        reference = tuple(
+            (tuple(desc), mult, tuple(
+                exact_linalg._snap(desc, Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q)))
+                for a, b in Poly(desc, X).intervals(sqf=True)))
+            for desc, mult in _sympy_parts(residual)
+        )
+        assert exact_linalg._refine(isolation) == exact_linalg._refine(reference), poly
